@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from .. import api
 from ..config import SystemConfig
 from ..errors import ConfigError
-from ..perf.parallel import SimPoint, fanout
 from ..sim.results import SimulationResult
-from ..sim.runner import run_benchmark  # noqa: F401  (re-exported API)
 
 #: knob name -> function(config, value) -> new config
 KNOBS: Dict[str, Callable[[SystemConfig, Any], SystemConfig]] = {
@@ -116,16 +115,16 @@ def sweep_parameter(
         )
     base = config if config is not None else SystemConfig.scaled()
     sweep = SweepResult(parameter=parameter, scheme=scheme, workload=workload)
-    points = [
-        SimPoint(
-            scheme,
-            workload,
+    specs = [
+        api.RunSpec(
+            scheme=scheme,
+            workload=workload,
             records=records,
             seed=seed,
             config=KNOBS[parameter](base, value),
         )
         for value in values
     ]
-    for value, item in zip(values, fanout(points, jobs=jobs)):
-        sweep.points.append(SweepPoint(value=value, result=item.result))
+    for value, out in zip(values, api.run_many(specs, jobs=jobs)):
+        sweep.points.append(SweepPoint(value=value, result=out.result))
     return sweep

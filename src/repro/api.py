@@ -2,9 +2,7 @@
 
 Every in-repo entry point — the CLI, the experiment harness, the bench
 suite, the sweep engine, and the examples — constructs simulations through
-this module instead of wiring components by hand.  The legacy helpers
-``repro.sim.runner.run_trace`` / ``run_benchmark`` still work but are
-deprecation shims over :func:`run`.
+this module instead of wiring components by hand.
 
 Quickstart::
 
@@ -25,13 +23,11 @@ cycle- and counter-bit-identical to untraced ones (see
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Dict,
     List,
@@ -40,6 +36,7 @@ from typing import (
     Union,
 )
 
+from . import options
 from . import stats_keys as sk
 from .config import SystemConfig
 from .errors import ConfigError
@@ -189,17 +186,12 @@ def _audit_options(obs: ObsOptions):
     """Resolve the audit request: ``(enabled, cadence-or-None)``.
 
     ``REPRO_AUDIT`` wins over the spec so CI (and the warm-pool workers,
-    which re-read the environment) can force auditing on without touching
-    call sites: unset/``"0"``/``""`` defers to the spec, ``"1"`` enables
-    at the default cadence, ``N > 1`` enables at cadence ``N``.
+    which inherit the environment) can force auditing on without touching
+    call sites; see :func:`repro.options.audit`.
     """
-    raw = os.environ.get("REPRO_AUDIT", "").strip()
-    if raw and raw != "0":
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 1
-        return True, (value if value > 1 else None)
+    every = options.audit()
+    if every:
+        return True, (every if every > 1 else None)
     return obs.audit, (obs.audit_every or None)
 
 
@@ -361,14 +353,23 @@ def run_many(
     Execution goes through the warm-pool engine
     (:mod:`repro.perf.engine`): workers persist across calls, config-
     derived artifacts are cached per process, and specs dispatch
-    longest-expected-first so stragglers start early.
+    longest-expected-first so stragglers start early.  Observed wall
+    times update the engine's priors, so the *next* batch dispatches its
+    stragglers first.
     """
-    from .perf.engine import engine_map, run_spec_warm, spec_cost
+    from .perf.engine import engine_map, get_priors, run_spec_warm, spec_cost
 
     specs = list(specs)
     if jobs is None:
         jobs = max((spec.jobs for spec in specs), default=1)
-    return engine_map(run_spec_warm, specs, jobs=jobs, cost=spec_cost)
+    results = engine_map(run_spec_warm, specs, jobs=jobs, cost=spec_cost)
+    priors = get_priors()
+    for out in results:
+        priors.observe_point(
+            out.spec.scheme, out.spec.workload, out.spec.records, out.wall_s
+        )
+    priors.save()
+    return results
 
 
 def resume_run(
@@ -475,54 +476,6 @@ def run_campaign(
     return [journal.get(key) for key in keys]
 
 
-def sweep(
-    parameter: str,
-    values: Sequence[Any],
-    scheme: str = "Baseline",
-    workload: str = "mix",
-    config: Optional[SystemConfig] = None,
-    records: int = 3000,
-    seed: int = 7,
-    jobs: int = 1,
-):
-    """Sweep one platform knob; see :func:`repro.analysis.sweep.sweep_parameter`."""
-    from .analysis.sweep import sweep_parameter
-
-    return sweep_parameter(
-        parameter,
-        values,
-        scheme=scheme,
-        workload=workload,
-        config=config,
-        records=records,
-        seed=seed,
-        jobs=jobs,
-    )
-
-
-def bench(
-    smoke: bool = False,
-    jobs: int = 1,
-    seed: int = 7,
-    trace_out: Optional[str] = None,
-    profile: bool = False,
-) -> Dict[str, object]:
-    """Run the performance suite; see :func:`repro.perf.bench.run_bench`."""
-    from .perf.bench import run_bench
-
-    return run_bench(
-        smoke=smoke, jobs=jobs, seed=seed, trace_out=trace_out,
-        profile=profile,
-    )
-
-
-def summarize_trace(path: str) -> Dict[str, Any]:
-    """Aggregate a JSONL trace file (``repro inspect``)."""
-    from .obs.inspect import summarize_trace as _summarize
-
-    return _summarize(path)
-
-
 __all__ = [
     "CONFIG_NAMES",
     "ObsOptions",
@@ -533,7 +486,4 @@ __all__ = [
     "run_many",
     "run_campaign",
     "campaign_key",
-    "sweep",
-    "bench",
-    "summarize_trace",
 ]

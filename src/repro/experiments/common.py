@@ -6,21 +6,18 @@ them.  Simulation runs are memoized per (scheme, workload, records, config)
 because several figures slice the same underlying matrix (Fig. 10/11/14/15
 all share runs).
 
-Environment knobs (env vars so they reach ``--jobs`` worker processes):
-
-* ``REPRO_RECORDS``  — trace length per workload (default 5000);
-* ``REPRO_WORKLOADS`` — comma-separated subset of workloads to run;
-* ``REPRO_CONFIG``   — named platform (``scaled``/``paper``, default scaled);
-* ``REPRO_SEED``     — base seed of the simulation matrix (default 7).
+The harness takes its trace length, workload subset, platform, and base
+seed from the ``REPRO_RECORDS``, ``REPRO_WORKLOADS``, ``REPRO_CONFIG``, and
+``REPRO_SEED`` environment knobs, so they reach ``--jobs`` worker
+processes; the knob table in ``docs/scaling.md`` lists their defaults.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import api
+from .. import api, options
 from ..config import SystemConfig
 from ..sim.results import SimulationResult
 from ..traces.benchmarks import BENCHMARKS
@@ -31,28 +28,23 @@ ALL_WORKLOADS: Tuple[str, ...] = tuple(BENCHMARKS) + ("mix",)
 
 def experiment_records(default: int = 5000) -> int:
     """Trace length used by the experiment harness."""
-    return int(os.environ.get("REPRO_RECORDS", default))
+    return options.records(default)
 
 
 def experiment_workloads(
     default: Sequence[str] = ALL_WORKLOADS,
 ) -> List[str]:
-    raw = os.environ.get("REPRO_WORKLOADS")
-    if not raw:
-        return list(default)
-    return [name.strip() for name in raw.split(",") if name.strip()]
+    return options.workloads(default)
 
 
 def experiment_config() -> SystemConfig:
     """The platform every experiment runs on (``REPRO_CONFIG`` selects)."""
-    return api.RunSpec(
-        config_name=os.environ.get("REPRO_CONFIG", "scaled")
-    ).resolve_config()
+    return api.RunSpec(config_name=options.config_name()).resolve_config()
 
 
 def experiment_seed(default: int = 7) -> int:
     """Base seed of the simulation matrix (``REPRO_SEED`` overrides)."""
-    return int(os.environ.get("REPRO_SEED", default))
+    return options.seed(default)
 
 
 @dataclass

@@ -39,10 +39,9 @@ from typing import Deque, List, Optional, Tuple
 from .. import stats_keys as sk
 from ..config import SystemConfig
 from ..errors import ProtocolError
-from ..obs import events as ev
 from ..stats import Stats
 from .controller import PathORAMController, SlotResult
-from .types import PathAccessRecord, PathType, Request, RequestKind
+from .types import PathType, Request, RequestKind
 
 
 def scaled_base_buckets(main_levels: int) -> int:
@@ -320,7 +319,10 @@ class PyramidController(PathORAMController):
                 top_bucket = bucket
             start = self._level_base[level] + bucket * self.bucket_slots
             addresses.extend(range(start, start + self.bucket_slots))
-        return self._pyramid_burst(addresses, path_type, now, leaf=top_bucket)
+        return self._tree_burst(
+            "pyramid", sk.PATHS_PYRAMID, top_bucket, path_type, now,
+            addresses, addresses,
+        )
 
     def _reshuffle(self, now: int) -> SlotResult:
         """Periodic oblivious reshuffle: rewrite the whole hierarchy.
@@ -356,51 +358,7 @@ class PyramidController(PathORAMController):
             self._pending_main_insert.add(block)
             self.stats.inc(sk.PYRAMID_SPILLS)
         self.stats.inc(sk.PYRAMID_RESHUFFLES)
-        return self._pyramid_burst(
-            self._region_addresses, PathType.EVICTION, now, leaf=0
+        return self._tree_burst(
+            "pyramid", sk.PATHS_PYRAMID, 0, PathType.EVICTION, now,
+            self._region_addresses, self._region_addresses,
         )
-
-    def _pyramid_burst(
-        self, addresses: List[int], path_type: PathType, now: int, leaf: int
-    ) -> SlotResult:
-        """Shared read+write DRAM burst and bookkeeping for pyramid slots."""
-        finish_read = self.dram.service_addresses(addresses, False, now)
-        self.path_count += 1
-        self.stats.inc(sk.paths_key(path_type))
-        self.stats.inc(sk.PATHS_TOTAL)
-        self.stats.inc(sk.PATHS_PYRAMID)
-        self.stats.inc(sk.MEM_BLOCKS_READ, len(addresses))
-        tracer = self.stats.tracer
-        if tracer is not None:
-            tracer.emit(
-                ev.PATH_READ,
-                now,
-                path_type=path_type.value,
-                leaf=leaf,
-                finish=finish_read,
-                blocks=len(addresses),
-                tree="pyramid",
-            )
-        if self.observer is not None:
-            self.observer(
-                PathAccessRecord(
-                    issue_cycle=now,
-                    leaf=leaf,
-                    path_type=path_type,
-                    read_addresses=list(addresses),
-                    write_addresses=list(addresses),
-                )
-            )
-        finish_write = self.dram.service_addresses(addresses, True, finish_read)
-        self.stats.inc(sk.MEM_BLOCKS_WRITTEN, len(addresses))
-        if tracer is not None:
-            tracer.emit(
-                ev.PATH_WRITE,
-                finish_read,
-                path_type=path_type.value,
-                leaf=leaf,
-                finish=finish_write,
-                blocks=len(addresses),
-                tree="pyramid",
-            )
-        return SlotResult(True, path_type, now, finish_read, finish_write)

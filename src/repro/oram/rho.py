@@ -35,7 +35,6 @@ from .. import stats_keys as sk
 from ..config import ORAMConfig, SystemConfig
 from ..errors import ProtocolError
 from ..mem.layout import TreeLayout
-from ..obs import events as ev
 from ..stats import Stats
 from .controller import ONCHIP_LATENCY, PathORAMController, SlotResult
 from .stash import Stash
@@ -346,7 +345,19 @@ class RhoController(PathORAMController):
     ) -> SlotResult:
         """One full small-tree path access (read + greedy write)."""
         addresses = self.small_layout.path_addresses(leaf)
-        finish_read = self.dram.service_addresses(addresses, False, now)
+        return self._tree_burst(
+            "small", sk.PATHS_SMALL_TREE, leaf, path_type, now,
+            addresses, addresses,
+            after_read=lambda: self._small_read_phase(leaf, extract, remapped),
+            before_write=lambda: self._small_write_phase(leaf),
+        )
+
+    def _small_read_phase(
+        self,
+        leaf: int,
+        extract: Optional[int],
+        remapped: Optional[Tuple[int, int]],
+    ) -> None:
         removed = self.small_tree.read_and_clear(leaf)
         extract_found = False
         target_found = False
@@ -365,50 +376,6 @@ class RhoController(PathORAMController):
             raise ProtocolError(f"victim {extract} absent from its path")
         if remapped is not None and not target_found:
             raise ProtocolError(f"block {remapped[0]} absent from its path")
-
-        self.path_count += 1
-        self.stats.inc(sk.paths_key(path_type))
-        self.stats.inc(sk.PATHS_TOTAL)
-        self.stats.inc(sk.PATHS_SMALL_TREE)
-        self.stats.inc(sk.MEM_BLOCKS_READ, len(addresses))
-        tracer = self.stats.tracer
-        if tracer is not None:
-            tracer.emit(
-                ev.PATH_READ,
-                now,
-                path_type=path_type.value,
-                leaf=leaf,
-                finish=finish_read,
-                blocks=len(addresses),
-                tree="small",
-            )
-        if self.observer is not None:
-            from .types import PathAccessRecord
-
-            self.observer(
-                PathAccessRecord(
-                    issue_cycle=now,
-                    leaf=leaf,
-                    path_type=path_type,
-                    read_addresses=list(addresses),
-                    write_addresses=list(addresses),
-                )
-            )
-
-        self._small_write_phase(leaf)
-        finish_write = self.dram.service_addresses(addresses, True, finish_read)
-        self.stats.inc(sk.MEM_BLOCKS_WRITTEN, len(addresses))
-        if tracer is not None:
-            tracer.emit(
-                ev.PATH_WRITE,
-                finish_read,
-                path_type=path_type.value,
-                leaf=leaf,
-                finish=finish_write,
-                blocks=len(addresses),
-                tree="small",
-            )
-        return SlotResult(True, path_type, now, finish_read, finish_write)
 
     def _small_write_phase(self, leaf: int) -> None:
         levels = self.small_oram.levels

@@ -48,12 +48,11 @@ from .. import stats_keys as sk
 from ..config import ORAMConfig, SystemConfig
 from ..errors import ProtocolError
 from ..mem.layout import TreeLayout
-from ..obs import events as ev
 from ..stats import Stats
 from .controller import ONCHIP_LATENCY, PathORAMController, SlotResult
 from .stash import Stash
 from .tree import EMPTY
-from .types import PathAccessRecord, PathType, Request, RequestKind
+from .types import PathType, Request, RequestKind
 
 #: real slots per ring bucket
 RING_Z = 4
@@ -511,8 +510,9 @@ class RingController(PathORAMController):
                 self._ring_update(level, position, bucket)
                 self.stats.inc(sk.RING_EARLY_RESHUFFLES)
         self._ring_reads_since_evict += 1
-        return self._ring_burst(
-            read_addresses, write_addresses, path_type, now, leaf
+        return self._tree_burst(
+            "ring", sk.PATHS_RING_TREE, leaf, path_type, now,
+            read_addresses, write_addresses,
         )
 
     def _ring_reshuffle(self, bucket: RingBucket) -> None:
@@ -605,8 +605,9 @@ class RingController(PathORAMController):
         for level, position, bucket in path_buckets:
             self._ring_update(level, position, bucket)
         self.stats.inc(sk.RING_EVICT_PATHS)
-        result = self._ring_burst(
-            read_addresses, write_addresses, PathType.EVICTION, now, leaf
+        result = self._tree_burst(
+            "ring", sk.PATHS_RING_TREE, leaf, PathType.EVICTION, now,
+            read_addresses, write_addresses,
         )
         if self.oram.timing_protection:
             # The EvictPath slot has a deterministic public cost of two
@@ -618,58 +619,3 @@ class RingController(PathORAMController):
                 result.finish_write, now + 2 * self.oram.issue_interval
             )
         return result
-
-    def _ring_burst(
-        self,
-        read_addresses: List[int],
-        write_addresses: List[int],
-        path_type: PathType,
-        now: int,
-        leaf: int,
-    ) -> SlotResult:
-        """Shared DRAM service and bookkeeping for ring path accesses."""
-        finish_read = self.dram.service_addresses(read_addresses, False, now)
-        self.path_count += 1
-        self.stats.inc(sk.paths_key(path_type))
-        self.stats.inc(sk.PATHS_TOTAL)
-        self.stats.inc(sk.PATHS_RING_TREE)
-        self.stats.inc(sk.MEM_BLOCKS_READ, len(read_addresses))
-        tracer = self.stats.tracer
-        if tracer is not None:
-            tracer.emit(
-                ev.PATH_READ,
-                now,
-                path_type=path_type.value,
-                leaf=leaf,
-                finish=finish_read,
-                blocks=len(read_addresses),
-                tree="ring",
-            )
-        if self.observer is not None:
-            self.observer(
-                PathAccessRecord(
-                    issue_cycle=now,
-                    leaf=leaf,
-                    path_type=path_type,
-                    read_addresses=list(read_addresses),
-                    write_addresses=list(write_addresses),
-                )
-            )
-        if write_addresses:
-            finish_write = self.dram.service_addresses(
-                write_addresses, True, finish_read
-            )
-            self.stats.inc(sk.MEM_BLOCKS_WRITTEN, len(write_addresses))
-            if tracer is not None:
-                tracer.emit(
-                    ev.PATH_WRITE,
-                    finish_read,
-                    path_type=path_type.value,
-                    leaf=leaf,
-                    finish=finish_write,
-                    blocks=len(write_addresses),
-                    tree="ring",
-                )
-        else:
-            finish_write = finish_read
-        return SlotResult(True, path_type, now, finish_read, finish_write)

@@ -2,8 +2,8 @@
 
 * :mod:`repro.perf.native` — optional C kernels for the simulator's
   innermost loops, compiled on demand with a pure-Python fallback.
-* :mod:`repro.perf.parallel` — ``ProcessPoolExecutor`` fan-out over
-  independent (scheme, workload, seed) simulation points.
+* :mod:`repro.perf.engine` — the supervised warm worker pool and the
+  artifact cache behind :func:`repro.api.run_many`.
 * :mod:`repro.perf.bench` — the ``python -m repro bench`` suite, emitting
   machine-readable ``BENCH_*.json`` snapshots for regression tracking.
 """

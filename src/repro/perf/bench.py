@@ -3,7 +3,7 @@
 Two sections, both deterministic for a fixed seed:
 
 * **suite** — full-system simulations (scheme × workload grid) through
-  :func:`repro.perf.parallel.fanout`, timed per point and end to end;
+  :func:`repro.api.run_many`, timed per point and end to end;
 * **kernel** — a tight ``dummy_path`` loop per scheme, measuring the
   hot-path layer alone (read phase + stash + write phase + DRAM model)
   in paths per second, with no trace/LLC machinery around it.
@@ -26,10 +26,10 @@ import random
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import api
 from ..config import SystemConfig
-from .engine import aggregate_engine_counters, run_points
+from .engine import engine_counters
 from .native import available as native_available
-from .parallel import SimPoint
 
 #: rows kept per phase by ``--profile`` (sorted by cumulative time)
 PROFILE_TOP_N = 12
@@ -171,14 +171,14 @@ def run_bench(
         return os.path.join(trace_out, f"{scheme}_{workload}.jsonl")
 
     config = SystemConfig.scaled(levels=BENCH_LEVELS)
-    points = [
-        SimPoint(
-            scheme,
-            workload,
+    specs = [
+        api.RunSpec(
+            scheme=scheme,
+            workload=workload,
             records=records,
             seed=seed,
             config=config,
-            trace_out=point_trace(scheme, workload),
+            obs=api.ObsOptions(trace_out=point_trace(scheme, workload)),
         )
         for scheme in schemes
         for workload in workloads
@@ -186,27 +186,35 @@ def run_bench(
     suite_profile = cProfile.Profile() if profile else None
     if suite_profile is not None:
         suite_profile.enable()
-    results, suite_wall = run_points(points, jobs=jobs)
+    start = time.perf_counter()
+    results = api.run_many(specs, jobs=jobs)
+    suite_wall = time.perf_counter() - start
     if suite_profile is not None:
         suite_profile.disable()
 
     point_rows = []
     total_paths = 0.0
-    for item in results:
-        paths = item.result.total_paths()
+    # engine.* counters: each point's artifact-cache and batch deltas
+    # (recorded in its worker), plus this process's pool lifecycle.
+    engine_totals: Dict[str, int] = dict(engine_counters())
+    for out in results:
+        paths = out.result.total_paths()
         total_paths += paths
         point_rows.append(
             {
-                "scheme": item.point.scheme,
-                "workload": item.point.workload,
-                "records": item.point.records,
-                "seed": item.point.seed,
-                "cycles": item.result.cycles,
+                "scheme": out.spec.scheme,
+                "workload": out.spec.workload,
+                "records": out.spec.records,
+                "seed": out.spec.seed,
+                "cycles": out.result.cycles,
                 "paths": int(paths),
-                "wall_s": round(item.wall_s, 4),
-                "paths_per_s": round(paths / max(item.wall_s, 1e-9), 1),
+                "wall_s": round(out.wall_s, 4),
+                "paths_per_s": round(paths / max(out.wall_s, 1e-9), 1),
             }
         )
+        for key, value in out.stats.counters.items():
+            if key.startswith("engine."):
+                engine_totals[key] = engine_totals.get(key, 0) + int(value)
 
     # The kernel section measures single-core throughput, so it always
     # runs serially — parallel kernel runs would contend with each other
@@ -235,9 +243,7 @@ def run_bench(
         "suite_paths_per_s": round(total_paths / max(suite_wall, 1e-9), 1),
         "engine": {
             key.split(".", 1)[1]: value
-            for key, value in sorted(
-                aggregate_engine_counters(results).items()
-            )
+            for key, value in sorted(engine_totals.items())
         },
         "points": point_rows,
         "kernel": kernel_rows,

@@ -1,11 +1,11 @@
 """Persistent warm-pool execution engine with cross-run artifact caching.
 
-PR 1's ``fanout`` paid three recurring costs on every sweep: worker
-processes re-imported the scheme zoo per pool, every run re-derived the
-same config-dependent artifacts (subtree-layout tables, per-leaf DRAM
-triples, workload traces), and ``pool.map`` pre-chunked the points so one
-slow scheme could leave every other worker idle.  This module replaces
-that with three cooperating pieces:
+A naive process-pool fan-out pays three recurring costs on every sweep:
+worker processes re-import the scheme zoo per pool, every run re-derives
+the same config-dependent artifacts (subtree-layout tables, per-leaf DRAM
+triples, workload traces), and ``pool.map`` pre-chunks the points so one
+slow scheme can leave every other worker idle.  This module avoids them
+with three cooperating pieces:
 
 * **Warm pool** — one long-lived :class:`~concurrent.futures.\
   ProcessPoolExecutor` per process, created on first use with an
@@ -57,11 +57,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from .. import options
 from .. import stats_keys as sk
 from ..config import ORAMConfig, SystemConfig
 from ..errors import EngineFaultError
 from ..obs import events as ev
-from .parallel import PointResult, SimPoint
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -71,6 +71,11 @@ CACHE_SCHEMA = 1
 
 #: EWMA weight of the newest wall-time observation in the priors store
 PRIOR_ALPHA = 0.5
+
+#: without ``REPRO_TASK_TIMEOUT``, a task's deadline is
+#: ``max(TASK_TIMEOUT_FLOOR_S, TASK_TIMEOUT_FACTOR × its EWMA prior)``
+TASK_TIMEOUT_FLOOR_S = 30.0
+TASK_TIMEOUT_FACTOR = 20.0
 
 
 # ----------------------------------------------------------------------
@@ -82,14 +87,12 @@ def cache_root() -> str:
     ``REPRO_CACHE_DIR`` overrides; the default is ``.repro_cache`` under
     the current working directory (shared by parent and forked workers).
     """
-    return os.environ.get("REPRO_CACHE_DIR") or os.path.join(
-        os.getcwd(), ".repro_cache"
-    )
+    return options.cache_dir() or os.path.join(os.getcwd(), ".repro_cache")
 
 
 def disk_cache_enabled() -> bool:
     """On-disk persistence can be disabled with ``REPRO_DISK_CACHE=0``."""
-    return os.environ.get("REPRO_DISK_CACHE", "1") != "0"
+    return options.disk_cache()
 
 
 def _quarantine(path: str) -> None:
@@ -511,14 +514,6 @@ def _worker_init() -> None:
     get_cache()  # registers the atexit flush for this worker
 
 
-def _repro_env() -> Dict[str, str]:
-    return {
-        key: value
-        for key, value in os.environ.items()
-        if key.startswith("REPRO_")
-    }
-
-
 def get_pool(workers: int) -> ProcessPoolExecutor:
     """The persistent executor, grown or recycled as needed.
 
@@ -528,7 +523,7 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     stale pool would otherwise run with outdated knobs.
     """
     global _POOL, _POOL_WORKERS, _POOL_ENV
-    env = _repro_env()
+    env = options.snapshot()
     if _POOL is not None:
         broken = getattr(_POOL, "_broken", False)
         if broken or _POOL_WORKERS < workers or _POOL_ENV != env:
@@ -591,20 +586,6 @@ def _emit(kind: str, **data: Any) -> None:
         _EVENT_HOOK(kind, **data)
 
 
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
-
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a (possibly hung) pool down without waiting on its workers."""
     global _POOL
@@ -640,7 +621,8 @@ class _Supervisor:
     2. a crashed worker breaks the pool; the pool is respawned and every
        in-flight task re-dispatched (the crash victim charged a retry);
     3. a task exceeding its deadline (``REPRO_TASK_TIMEOUT`` override, or
-       ``max(floor, factor × EWMA prior)`` when a cost estimator exists)
+       ``max(TASK_TIMEOUT_FLOOR_S, TASK_TIMEOUT_FACTOR × EWMA prior)``
+       when a cost estimator exists)
        gets the pool killed and is charged a retry like a crash;
     4. after ``REPRO_MAX_RESPAWNS`` pool failures in one call, the engine
        degrades: every unfinished item runs serially in-process.
@@ -663,11 +645,9 @@ class _Supervisor:
         self.attempts: Dict[int, int] = {}
         self.inflight: Dict[Any, _TaskState] = {}
         self.pool_failures = 0
-        self.retry_budget = _env_int("REPRO_TASK_RETRIES", 2)
-        self.max_respawns = _env_int("REPRO_MAX_RESPAWNS", 3)
-        self.timeout_override = _env_float("REPRO_TASK_TIMEOUT", 0.0)
-        self.timeout_floor = _env_float("REPRO_TASK_TIMEOUT_FLOOR", 30.0)
-        self.timeout_factor = _env_float("REPRO_TASK_TIMEOUT_FACTOR", 20.0)
+        self.retry_budget = options.task_retries()
+        self.max_respawns = options.max_respawns()
+        self.timeout_override = options.task_timeout()
 
     # -- policy -------------------------------------------------------------
     def _deadline_for(self, index: int) -> Optional[float]:
@@ -675,7 +655,7 @@ class _Supervisor:
             seconds = self.timeout_override
         elif self.costs is not None:
             seconds = max(
-                self.timeout_floor, self.timeout_factor * self.costs[index]
+                TASK_TIMEOUT_FLOOR_S, TASK_TIMEOUT_FACTOR * self.costs[index]
             )
         else:
             return None  # no estimate, no override: don't guess a ceiling
@@ -710,8 +690,6 @@ class _Supervisor:
             attempt=self.attempts.get(index, 0),
             deadline=self._deadline_for(index),
         )
-        if self.attempts.get(index, 0) == 0:
-            _bump_local(sk.ENGINE_TASKS)
 
     def _refill(self, pool: ProcessPoolExecutor) -> None:
         while self.pending and len(self.inflight) < self.jobs:
@@ -741,6 +719,8 @@ class _Supervisor:
 
     # -- the loop -----------------------------------------------------------
     def run(self) -> List[R]:
+        # Items, not dispatches: a respawn re-submits displaced items.
+        _bump_local(sk.ENGINE_TASKS, len(self.items))
         while len(self.results) < len(self.items):
             if self.pool_failures > self.max_respawns:
                 return self._degraded()
@@ -850,27 +830,6 @@ def engine_map(
 # ----------------------------------------------------------------------
 # simulation-point execution (warm workers)
 # ----------------------------------------------------------------------
-def run_point_warm(point: SimPoint) -> PointResult:
-    """Run one point with artifact injection; executed inside workers."""
-    from .. import api
-
-    spec = api.RunSpec(
-        scheme=point.scheme,
-        workload=point.workload,
-        records=point.records,
-        seed=point.seed,
-        config=point.config,
-        obs=api.ObsOptions(trace_out=point.trace_out),
-    )
-    out = api.run(spec, artifacts=get_cache())
-    engine_counts = {
-        key: int(value)
-        for key, value in out.stats.counters.items()
-        if key.startswith("engine.")
-    }
-    return PointResult(point, out.result, out.wall_s, engine_counts)
-
-
 def run_spec_warm(spec) -> Any:
     """Run one :class:`repro.api.RunSpec` with artifact injection."""
     from .. import api
@@ -880,49 +839,6 @@ def run_spec_warm(spec) -> Any:
 
 def spec_cost(spec) -> float:
     return get_priors().point_cost(spec.scheme, spec.workload, spec.records)
-
-
-def run_points(
-    points: Sequence[SimPoint], jobs: int = 1
-) -> Tuple[List[PointResult], float]:
-    """Run simulation points through the engine; results in input order.
-
-    Bit-identical to a serial ``api.run`` loop for every ``jobs`` value
-    (each point carries its own seed and the injected artifacts are pure
-    functions of the config).  Observed wall times update the priors store
-    so the *next* sweep dispatches its stragglers first.
-    """
-    start = time.perf_counter()
-    points = list(points)
-    priors = get_priors()
-    results = engine_map(
-        run_point_warm,
-        points,
-        jobs=jobs,
-        cost=lambda p: priors.point_cost(p.scheme, p.workload, p.records),
-    )
-    for item in results:
-        priors.observe_point(
-            item.point.scheme,
-            item.point.workload,
-            item.point.records,
-            item.wall_s,
-        )
-    priors.save()
-    return results, time.perf_counter() - start
-
-
-def aggregate_engine_counters(
-    results: Sequence[PointResult],
-) -> Dict[str, int]:
-    """Sum the per-point ``engine.*`` counter deltas (across workers)."""
-    totals: Dict[str, int] = {}
-    for item in results:
-        for key, value in item.engine_counters.items():
-            totals[key] = totals.get(key, 0) + value
-    for key, value in engine_counters().items():
-        totals[key] = totals.get(key, 0) + value
-    return totals
 
 
 # ----------------------------------------------------------------------

@@ -24,12 +24,14 @@ import sys
 import sysconfig
 from typing import Optional
 
+from .. import options
+
 _MODULE_NAME = "_repro_fastpath"
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_fastpath.c")
 
 
 def _cache_dir() -> str:
-    override = os.environ.get("REPRO_FASTPATH_CACHE")
+    override = options.fastpath_cache()
     if override:
         return override
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
@@ -211,15 +213,15 @@ def _build(so_path: str) -> bool:
 
 
 def _load() -> Optional[object]:
-    if os.environ.get("REPRO_FASTPATH", "1") == "0":
+    if not options.fastpath():
         return None
+    cache = _cache_dir()
     try:
         with open(_SOURCE, "rb") as handle:
             source = handle.read()
         tag = hashlib.sha256(
             source + sys.implementation.cache_tag.encode()
         ).hexdigest()[:16]
-        cache = _cache_dir()
         os.makedirs(cache, exist_ok=True)
         so_path = os.path.join(cache, f"{_MODULE_NAME}-{tag}.so")
         if not os.path.exists(so_path) and not _build(so_path):

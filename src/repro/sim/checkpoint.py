@@ -38,7 +38,7 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..errors import CheckpointError
 
@@ -52,45 +52,37 @@ CHECKPOINT_VERSION = 1
 #: sources whose behaviour a frozen simulator encodes — editing any of
 #: them may change what an uninterrupted run would have produced, so the
 #: salt over them gates resume (``repro.perf.engine.code_salt`` covers
-#: only the artifact generators, which is too narrow here)
-_SALT_SOURCES = (
-    "config.py",
-    "stats.py",
-    "cache/cache.py",
-    "cache/llc.py",
-    "core/ir_dwb.py",
-    "core/ir_stash.py",
-    "core/schemes.py",
-    "cpu/processor.py",
-    "mem/dram.py",
-    "mem/layout.py",
-    "oram/controller.py",
-    "oram/plb.py",
-    "oram/posmap.py",
-    "oram/rho.py",
-    "oram/ring.py",
-    "oram/stash.py",
-    "oram/tree.py",
-    "oram/treetop.py",
-    "sim/simulator.py",
-)
+#: only the artifact generators, which is too narrow here): every module
+#: of these packages, plus the loose modules below
+_SALT_PACKAGES = ("oram", "core", "mem", "cache", "cpu")
+_SALT_MODULES = ("config.py", "stats.py", "sim/simulator.py")
+
+#: the ``repro`` package directory the salted paths are relative to
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _SALT: Optional[str] = None
+
+
+def salt_sources() -> List[str]:
+    """The salted sources, as paths relative to the ``repro`` package."""
+    sources = list(_SALT_MODULES)
+    for package in _SALT_PACKAGES:
+        sources.extend(
+            f"{package}/{name}"
+            for name in os.listdir(os.path.join(_ROOT, package))
+            if name.endswith(".py")
+        )
+    return sorted(sources)
 
 
 def _code_salt() -> str:
     global _SALT
     if _SALT is None:
-        base = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         digest = hashlib.sha256(str(CHECKPOINT_VERSION).encode())
-        for rel in _SALT_SOURCES:
-            path = os.path.join(base, rel)
+        for rel in salt_sources():
             digest.update(rel.encode())
-            try:
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-            except OSError:
-                digest.update(b"<missing>")
+            with open(os.path.join(_ROOT, rel), "rb") as handle:
+                digest.update(handle.read())
         _SALT = digest.hexdigest()
     return _SALT
 

@@ -11,10 +11,10 @@ queueing delay are both workload-dependent, as in the paper.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from .. import options
 from .. import stats_keys as sk
 from ..cache.cache import EvictedLine
 from ..cache.llc import LastLevelCache
@@ -233,13 +233,7 @@ class Simulator:
             and snapshot_every == 0
             and progress_every == 0
         ):
-            try:
-                batch_slots = int(
-                    os.environ.get("REPRO_BATCH_SLOTS", "256") or "0"
-                )
-            except ValueError:
-                batch_slots = 0
-            batch_slots = max(0, batch_slots)
+            batch_slots = options.batch_slots()
         dummy_value = PathType.DUMMY.value
 
         while True:

@@ -18,7 +18,6 @@ import pytest
 from repro import api
 from repro.config import SystemConfig
 from repro.core.schemes import SCHEMES, build_scheme
-from repro.sim.runner import run_benchmark
 from repro.validate import golden
 
 ALL_SCHEMES = sorted(SCHEMES)
@@ -50,7 +49,10 @@ def _fingerprint(result):
 
 def _run_sim(scheme, seed=11, records=200):
     config = SystemConfig.tiny()
-    return run_benchmark(scheme, "random", config, records=records, seed=seed)
+    return api.run(api.RunSpec(
+        scheme=scheme, workload="random", config=config, records=records,
+        seed=seed,
+    )).result
 
 
 def _controller_state(controller):

@@ -177,6 +177,25 @@ class TestCheckpointFormat:
         assert payload.access_index > 0
         assert payload.spec.scheme == "Baseline"
 
+    def test_salt_covers_every_scheme_controller(self):
+        """Editing any controller a scheme builds must refuse old resumes."""
+        import sys
+
+        import repro
+        from repro.config import SystemConfig
+        from repro.core.schemes import build_scheme
+
+        root = os.path.dirname(os.path.abspath(repro.__file__))
+        salted = set(ckpt_mod.salt_sources())
+        for scheme in SCHEMES:
+            controller = build_scheme(scheme, SystemConfig.tiny()).controller
+            for cls in type(controller).__mro__:
+                if not cls.__module__.startswith("repro."):
+                    continue
+                path = os.path.abspath(sys.modules[cls.__module__].__file__)
+                rel = os.path.relpath(path, root).replace(os.sep, "/")
+                assert rel in salted, (scheme, cls.__name__, rel)
+
     def test_run_twice_is_refused(self):
         from repro.core.schemes import build_scheme
         from repro.sim.simulator import Simulator

@@ -2,6 +2,7 @@
 
 import json
 import os
+from concurrent.futures import BrokenExecutor, Future
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.core.schemes import build_scheme
 from repro.oram.controller import PathORAMController
 from repro.oram.tree import ORAMTree
 from repro.perf import engine
-from repro.perf.parallel import SimPoint, run_points
 from repro.stats import Stats
 
 
@@ -24,10 +24,11 @@ def isolated_engine(tmp_path, monkeypatch):
     engine.reset()
 
 
-def _points(schemes, records=200, seed=7):
+def _specs(schemes, records=200, seed=7):
     config = SystemConfig.tiny()
     return [
-        SimPoint(scheme, "mix", records=records, seed=seed, config=config)
+        api.RunSpec(scheme=scheme, workload="mix", records=records,
+                    seed=seed, config=config)
         for scheme in schemes
     ]
 
@@ -80,21 +81,15 @@ class TestBitIdentity:
         )
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_run_points_matches_serial_loop(self, jobs):
-        points = _points(["Baseline", "IR-ORAM", "LLC-D", "Rho"])
-        serial = [
-            api.run(api.RunSpec(
-                scheme=p.scheme, workload=p.workload, records=p.records,
-                seed=p.seed, config=p.config,
-            ))
-            for p in points
-        ]
-        results, wall = run_points(points, jobs=jobs)
-        assert wall > 0
-        assert [item.point for item in results] == points
-        for ref, item in zip(serial, results):
-            assert ref.result.cycles == item.result.cycles
-            assert ref.result.counters == item.result.counters
+    def test_run_many_matches_serial_loop(self, jobs):
+        specs = _specs(["Baseline", "IR-ORAM", "LLC-D", "Rho"])
+        serial = [api.run(spec) for spec in specs]
+        results = api.run_many(specs, jobs=jobs)
+        assert all(out.wall_s > 0 for out in results)
+        assert [out.spec for out in results] == specs
+        for ref, out in zip(serial, results):
+            assert ref.result.cycles == out.result.cycles
+            assert ref.result.counters == out.result.counters
 
     def test_run_many_engine_backed(self):
         specs = [
@@ -123,22 +118,20 @@ class TestArtifactCache:
             assert cache.counters[key] > before.get(key, 0)
 
     def test_disk_round_trip_warm_start(self):
-        points = _points(["Baseline", "LLC-D"])
-        cold, _ = run_points(points, jobs=1)
+        specs = _specs(["Baseline", "LLC-D"])
+        cold = api.run_many(specs, jobs=1)
         engine.get_cache().flush()
         engine.reset()  # simulate a brand-new process, same cache dir
-        warm, _ = run_points(points, jobs=1)
-        agg = engine.aggregate_engine_counters(warm)
-        assert agg.get("engine.triples_disk_hits", 0) > 0
-        assert agg.get("engine.trace_disk_hits", 0) > 0
+        warm = api.run_many(specs, jobs=1)
+        for key in ("engine.triples_disk_hits", "engine.trace_disk_hits"):
+            assert sum(out.stats.get(key) for out in warm) > 0
         for a, b in zip(cold, warm):
             assert a.result.cycles == b.result.cycles
             assert a.result.counters == b.result.counters
 
     def test_disk_cache_can_be_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-        points = _points(["Baseline"])
-        run_points(points, jobs=1)
+        api.run_many(_specs(["Baseline"]), jobs=1)
         engine.get_cache().flush()
         assert not os.path.exists(
             os.path.join(engine.cache_root(), "triples")
@@ -266,8 +259,8 @@ class TestPriors:
             "X", "y", 100
         )
 
-    def test_run_points_records_priors(self):
-        run_points(_points(["Baseline"]), jobs=1)
+    def test_run_many_records_priors(self):
+        api.run_many(_specs(["Baseline"]), jobs=1)
         priors_path = os.path.join(engine.cache_root(), "priors.json")
         with open(priors_path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -301,6 +294,48 @@ class TestEngineMap:
     def test_serial_never_touches_pool(self):
         assert engine.engine_map(_double, [1, 2, 3], jobs=1) == [2, 4, 6]
         assert engine.engine_counters().get("engine.pool_starts") is None
+
+
+    def test_tasks_count_items_not_dispatches(self, monkeypatch):
+        # The first pool dies on the third submit with two items in
+        # flight; the respawned pool re-dispatches those two.
+        doomed, healthy = _StubPool(break_after=2), _StubPool()
+        monkeypatch.setattr(
+            engine, "get_pool",
+            lambda workers: healthy if doomed.dead else doomed,
+        )
+        items = [1, 2, 3, 4]
+        assert engine.engine_map(_double, items, jobs=3) == [2, 4, 6, 8]
+        counters = engine.engine_counters()
+        assert counters.get("engine.respawns") == 1
+        assert counters.get("engine.tasks") == len(items)
+
+
+class _StubPool:
+    """In-process stand-in for the executor.
+
+    A healthy stub runs each task at submit; with ``break_after`` it
+    leaves that many submitted tasks pending, then raises
+    ``BrokenExecutor`` on the next submit like a pool whose worker died.
+    """
+
+    def __init__(self, break_after=None):
+        self.break_after = break_after
+        self.submitted = 0
+        self.dead = False
+
+    def submit(self, fn, item):
+        if self.break_after is not None and self.submitted >= self.break_after:
+            self.dead = True
+            raise BrokenExecutor("stub worker died")
+        self.submitted += 1
+        future = Future()
+        if self.break_after is None:
+            future.set_result(fn(item))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 def _double(n):

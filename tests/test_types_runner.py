@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro import api
 from repro.config import SystemConfig
 from repro.errors import ConfigError
 from repro.experiments.run_all import ALL_EXPERIMENTS
 from repro.oram.types import PathType, Request, RequestKind
 from repro.sim.results import SimulationResult
-from repro.sim.runner import make_workload, run_benchmark
+from repro.sim.runner import make_workload
 from repro.traces.benchmarks import BENCHMARKS, benchmark_trace
 
 
@@ -50,10 +51,12 @@ class TestRunner:
             trace = make_workload(name, config, 50)
             assert len(trace) >= 48
 
-    def test_run_benchmark_default_config(self):
-        result = run_benchmark("Baseline", "gcc",
-                               SystemConfig.tiny(), records=100)
-        assert isinstance(result, SimulationResult)
+    def test_run_returns_simulation_result(self):
+        out = api.run(api.RunSpec(
+            scheme="Baseline", workload="gcc", config=SystemConfig.tiny(),
+            records=100,
+        ))
+        assert isinstance(out.result, SimulationResult)
 
 
 class TestDistanceScale:

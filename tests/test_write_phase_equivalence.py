@@ -11,10 +11,10 @@ import random
 
 import pytest
 
+from repro import api
 from repro.config import SystemConfig
 from repro.core.schemes import build_scheme
 from repro.oram.controller import PathORAMController
-from repro.sim.runner import run_benchmark
 from repro.sim.simulator import Simulator
 from repro.traces.synthetic import random_trace
 
@@ -38,7 +38,10 @@ def _run(scheme, seed, reference=False, monkeypatch=None):
             "_write_path",
             PathORAMController._write_path_reference,
         )
-    return run_benchmark(scheme, "random", config, records=220, seed=seed)
+    return api.run(api.RunSpec(
+        scheme=scheme, workload="random", config=config, records=220,
+        seed=seed,
+    )).result
 
 
 class TestWritePhaseEquivalence:
