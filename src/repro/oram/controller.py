@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, List, Optional, Set, Tuple
 
 from .. import stats_keys as sk
 from ..config import SystemConfig
@@ -96,8 +96,8 @@ class PathORAMController:
     """Freecursive Path ORAM controller with pluggable IR-ORAM extensions."""
 
     #: Whether :meth:`run_dummy_batch` may use the native whole-batch
-    #: kernel.  Subclasses that override the per-path protocol (Rho's
-    #: two-tree scheduling, Palermo-style decoupling) must set this False
+    #: kernel.  Subclasses that override the per-path protocol (the
+    #: two-tree families, Palermo-style decoupling) must set this False
     #: so batches fall back to per-slot stepping through their overrides.
     SUPPORTS_NATIVE_BATCH = True
 
@@ -811,77 +811,6 @@ class PathORAMController:
                 finish=finish,
                 blocks=blocks,
             )
-
-    def _tree_burst(
-        self,
-        tree: str,
-        tree_paths_key: str,
-        leaf: int,
-        path_type: PathType,
-        now: int,
-        read_addresses: Sequence[int],
-        write_addresses: Sequence[int],
-        after_read: Optional[Callable[[], None]] = None,
-        before_write: Optional[Callable[[], None]] = None,
-    ) -> SlotResult:
-        """One read+write DRAM burst on a side tree (Rho, Ring, Pyramid).
-
-        Services the read burst, runs ``after_read`` (the caller's
-        functional read phase), counts the path (``paths.*``,
-        ``paths.total``, ``tree_paths_key``, ``mem.blocks_read``), emits
-        ``PATH_READ`` tagged ``tree=``, reports to the observer, runs
-        ``before_write`` (placement), then services the write burst with
-        its ``PATH_WRITE`` event; an empty ``write_addresses`` skips it.
-        """
-        finish_read = self.dram.service_addresses(read_addresses, False, now)
-        if after_read is not None:
-            after_read()
-        self.path_count += 1
-        stats = self.stats
-        stats.inc(sk.paths_key(path_type))
-        stats.inc(sk.PATHS_TOTAL)
-        stats.inc(tree_paths_key)
-        stats.inc(sk.MEM_BLOCKS_READ, len(read_addresses))
-        tracer = stats.tracer
-        if tracer is not None:
-            tracer.emit(
-                ev.PATH_READ,
-                now,
-                path_type=path_type.value,
-                leaf=leaf,
-                finish=finish_read,
-                blocks=len(read_addresses),
-                tree=tree,
-            )
-        if self.observer is not None:
-            self.observer(
-                PathAccessRecord(
-                    issue_cycle=now,
-                    leaf=leaf,
-                    path_type=path_type,
-                    read_addresses=list(read_addresses),
-                    write_addresses=list(write_addresses),
-                )
-            )
-        if before_write is not None:
-            before_write()
-        finish_write = finish_read
-        if write_addresses:
-            finish_write = self.dram.service_addresses(
-                write_addresses, True, finish_read
-            )
-            stats.inc(sk.MEM_BLOCKS_WRITTEN, len(write_addresses))
-            if tracer is not None:
-                tracer.emit(
-                    ev.PATH_WRITE,
-                    finish_read,
-                    path_type=path_type.value,
-                    leaf=leaf,
-                    finish=finish_write,
-                    blocks=len(write_addresses),
-                    tree=tree,
-                )
-        return SlotResult(True, path_type, now, finish_read, finish_write)
 
     def _write_path_reference(
         self, leaf: int, finish_read: int, path_type: PathType,

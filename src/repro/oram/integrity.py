@@ -316,7 +316,7 @@ def attach_ring_integrity(
     :func:`attach_integrity`, which keeps protecting the main tree.
     """
     integrity = RingIntegrity(
-        controller.ring_oram.z_per_level[0],
+        controller.side_oram.z_per_level[0],
         stats if stats is not None else controller.stats,
         recovery_hook=recovery_hook,
     )

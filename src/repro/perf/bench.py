@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import api
 from ..config import SystemConfig
 from .engine import engine_counters
-from .native import available as native_available
+from . import native
 
 #: rows kept per phase by ``--profile`` (sorted by cumulative time)
 PROFILE_TOP_N = 12
@@ -238,7 +238,8 @@ def run_bench(
         "seed": seed,
         "jobs": jobs,
         **report_extra,
-        "native_kernels": native_available(),
+        "native_kernels": native.available(),
+        "native_status": native.status,
         "suite_wall_s": round(suite_wall, 4),
         "suite_paths_per_s": round(total_paths / max(suite_wall, 1e-9), 1),
         "engine": {
@@ -352,7 +353,8 @@ def check_report(
 def format_report(report: Dict[str, object]) -> str:
     lines = [
         f"bench suite={report['suite']} levels={report['levels']} "
-        f"jobs={report['jobs']} native={report['native_kernels']}",
+        f"jobs={report['jobs']} native={report['native_kernels']} "
+        f"({report['native_status']})",
         f"suite wall {report['suite_wall_s']:.2f}s  "
         f"({report['suite_paths_per_s']:.0f} paths/s aggregate)",
         "",

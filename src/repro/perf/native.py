@@ -9,7 +9,9 @@ ABI, and exposes the loaded module as :data:`fastpath`.
 Everything degrades gracefully: no compiler, a failed build, a failed
 self-test, or ``REPRO_FASTPATH=0`` in the environment all yield
 ``fastpath = None`` and the simulator runs on its pure-Python fallbacks.
-No third-party packages are involved — only the system toolchain.
+:data:`status` says which of those happened (``repro bench`` reports it
+as ``native_status``).  No third-party packages are involved — only the
+system toolchain.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import struct
 import subprocess
 import sys
 import sysconfig
-from typing import Optional
+from typing import Optional, Tuple
 
 from .. import options
 
@@ -180,7 +182,8 @@ def _self_test(module) -> bool:
     )
 
 
-def _build(so_path: str) -> bool:
+def _build(so_path: str) -> Optional[str]:
+    """Compile the kernels to ``so_path``; return why that failed, or None."""
     cc = (
         os.environ.get("CC")
         or sysconfig.get_config_var("CC")
@@ -201,20 +204,26 @@ def _build(so_path: str) -> bool:
         proc = subprocess.run(
             cmd,
             stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            errors="replace",
             timeout=120,
         )
-    except (OSError, subprocess.SubprocessError):
-        return False
+    except (OSError, subprocess.SubprocessError) as exc:
+        return str(exc)
     if proc.returncode != 0 or not os.path.exists(tmp_path):
-        return False
+        lines = proc.stderr.strip().splitlines()
+        return lines[-1] if lines else (
+            f"{cc[0]} exited with status {proc.returncode}"
+        )
     os.replace(tmp_path, so_path)
-    return True
+    return None
 
 
-def _load() -> Optional[object]:
+def _load() -> Tuple[Optional[object], str]:
+    """The kernel module (or None) and the :data:`status` string."""
     if not options.fastpath():
-        return None
+        return None, "disabled"
     cache = _cache_dir()
     try:
         with open(_SOURCE, "rb") as handle:
@@ -224,25 +233,29 @@ def _load() -> Optional[object]:
         ).hexdigest()[:16]
         os.makedirs(cache, exist_ok=True)
         so_path = os.path.join(cache, f"{_MODULE_NAME}-{tag}.so")
-        if not os.path.exists(so_path) and not _build(so_path):
-            return None
+        if not os.path.exists(so_path):
+            error = _build(so_path)
+            if error is not None:
+                return None, f"build failed: {error}"
         loader = importlib.machinery.ExtensionFileLoader(_MODULE_NAME, so_path)
         spec = importlib.util.spec_from_loader(
             _MODULE_NAME, loader, origin=so_path
         )
         if spec is None:
-            return None
+            return None, f"load failed: no module spec for {so_path}"
         module = importlib.util.module_from_spec(spec)
         loader.exec_module(module)
         if not _self_test(module):
-            return None
-        return module
-    except Exception:
-        return None
+            return None, "self-test failed"
+        return module, "ok"
+    except Exception as exc:
+        return None, f"load failed: {exc}"
 
 
-#: the loaded C kernel module, or None when unavailable
-fastpath = _load()
+#: the loaded C kernel module, or None when unavailable; ``status`` is
+#: "ok", "disabled" (REPRO_FASTPATH=0), "build failed: <last compiler
+#: stderr line>", "self-test failed" or "load failed: <exception>"
+fastpath, status = _load()
 
 
 def available() -> bool:

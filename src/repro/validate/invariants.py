@@ -6,9 +6,10 @@ the protocol invariants of the paper:
 
 * **block conservation** (§II-B): every block of the merged Freecursive
   namespace is held by exactly one of — the tree, the stash, the PLB, the
-  PLB victim buffer, Rho's small-tree custody, Pyramid's level custody,
-  Ring's bucket/stash custody, or a legitimate external holder (LLC-D's
-  delayed-remap blocks living in the LLC);
+  PLB victim buffer, a two-tree family's side custody (Rho's small tree,
+  Ring's buckets, Pyramid's levels, a side stash, or the main-insert
+  queue), or a legitimate external holder (LLC-D's delayed-remap blocks
+  living in the LLC);
 * **path residency** (§II-B): every tree-resident block sits on the path
   of its PosMap leaf (and stash leaf tags match the PosMap);
 * **stash bounds** (§II-B, Ren et al.): occupancy and its high-water mark
@@ -52,6 +53,7 @@ from ..oram.controller import PathORAMController, SlotResult
 from ..oram.integrity import IntegrityError
 from ..oram.ring import RING_S, RING_Z
 from ..oram.tree import EMPTY
+from ..oram.twotree import TwoTreeController
 from ..oram.types import BlockKind
 from ..stats import Stats
 
@@ -245,9 +247,7 @@ class InvariantAuditor:
             claim(block, "victim-buffer")
             self._check_posmap_holder(block, "victim buffer")
 
-        self._claim_rho_holders(claim)
-        self._claim_pyramid_holders(claim)
-        self._claim_ring_holders(claim)
+        self._claim_side_holders(claim)
 
         missing_ok = controller.delayed_remap
         for block in range(total):
@@ -284,24 +284,61 @@ class InvariantAuditor:
                 f"(the PLB is exclusive)"
             )
 
-    def _rho_custody(self):
-        """Rho's small-tree position map, when the controller is a Rho."""
-        return getattr(self.controller, "small_map", None)
-
-    def _claim_rho_holders(self, claim) -> None:
-        small_map = self._rho_custody()
-        if small_map is None:
-            return
+    def _claim_side_holders(self, claim) -> None:
+        """A two-tree family's custody: side residents, side stash, and
+        blocks on their way back to the main tree."""
         controller = self.controller
+        if not isinstance(controller, TwoTreeController):
+            return
+        tag = controller.KEYS.tag
+        side_map = controller.side_map
         posmap = controller.posmap
+        claim_residents = {
+            "small": self._claim_small_tree,
+            "ring": self._claim_ring_buckets,
+            "pyramid": self._claim_pyramid_levels,
+        }[tag]
+        held = claim_residents(claim)
+        side_stash = controller.side_stash
+        if side_stash is not None:
+            for block, leaf in side_stash.items():
+                claim(block, f"{tag}-stash")
+                held.add(block)
+                if side_map.get(block) != leaf:
+                    self._fail(
+                        f"{tag}-stash leaf tag for block {block} disagrees "
+                        f"with the {tag} map"
+                    )
+        for block in controller._pending_main_insert:
+            claim(block, "pending-main-insert")
+            if posmap.is_mapped(block):
+                self._fail(
+                    f"pending-main-insert block {block} already mapped"
+                )
+        for block in side_map:
+            if posmap.is_mapped(block):
+                self._fail(
+                    f"{tag}-custody block {block} still mapped in the "
+                    f"main PosMap (promotion must be exclusive)"
+                )
+            if block not in held:
+                self._fail(
+                    f"{tag}-custody block {block} in neither the {tag} "
+                    f"tree nor the {tag} stash"
+                )
+
+    def _claim_small_tree(self, claim) -> Set[int]:
+        """Rho: small-tree residents sit on the path of their leaf."""
+        controller = self.controller
+        small_map = controller.side_map
         small_tree = controller.small_tree
-        tree_resident: Set[int] = set()
+        resident: Set[int] = set()
         for level, position, slots in small_tree.iter_buckets():
             for block in slots:
                 if block == EMPTY:
                     continue
                 claim(block, f"small-tree@L{level}")
-                tree_resident.add(block)
+                resident.add(block)
                 leaf = small_map.get(block)
                 if leaf is None:
                     self._fail(
@@ -313,42 +350,12 @@ class InvariantAuditor:
                         f"block {block} off its small-tree path: at "
                         f"(L{level}, {position}) but mapped to leaf {leaf}"
                     )
-        for block, leaf in controller.small_stash.items():
-            claim(block, "small-stash")
-            if small_map.get(block) != leaf:
-                self._fail(
-                    f"small-stash leaf tag for block {block} disagrees "
-                    f"with the small map"
-                )
-        for block in controller._pending_main_insert:
-            claim(block, "pending-main-insert")
-            if posmap.is_mapped(block):
-                self._fail(
-                    f"pending-main-insert block {block} already mapped"
-                )
-        for block in small_map:
-            if posmap.is_mapped(block):
-                self._fail(
-                    f"small-custody block {block} still mapped in the "
-                    f"main PosMap (promotion must be exclusive)"
-                )
-            if block not in tree_resident and block not in controller.small_stash:
-                self._fail(
-                    f"small-custody block {block} in neither the small "
-                    f"tree nor the small stash"
-                )
+        return resident
 
-    def _pyramid_custody(self):
-        """Pyramid's level map, when the controller is a Pyramid."""
-        return getattr(self.controller, "pyramid_map", None)
-
-    def _claim_pyramid_holders(self, claim) -> None:
-        pyramid_map = self._pyramid_custody()
-        if pyramid_map is None:
-            return
-        controller = self.controller
-        posmap = controller.posmap
-        level_buckets = controller.level_buckets
+    def _claim_pyramid_levels(self, claim) -> Set[int]:
+        """Pyramid: every custody block names a bucket of the hierarchy."""
+        pyramid_map = self.controller.side_map
+        level_buckets = self.controller.level_buckets
         for block, (level, bucket) in pyramid_map.items():
             claim(block, f"pyramid@L{level}")
             if not 0 <= level < len(level_buckets):
@@ -361,31 +368,14 @@ class InvariantAuditor:
                     f"pyramid block {block} assigned bucket {bucket} "
                     f"outside level {level} ({level_buckets[level]} buckets)"
                 )
-            if posmap.is_mapped(block):
-                self._fail(
-                    f"pyramid-custody block {block} still mapped in the "
-                    f"main PosMap (promotion must be exclusive)"
-                )
-        for block in controller._pending_main_insert:
-            claim(block, "pending-main-insert")
-            if posmap.is_mapped(block):
-                self._fail(
-                    f"pending-main-insert block {block} already mapped"
-                )
+        return set(pyramid_map)
 
-    def _ring_custody(self):
-        """Ring's position map, when the controller is a Ring."""
-        return getattr(self.controller, "ring_map", None)
-
-    def _claim_ring_holders(self, claim) -> None:
-        ring_map = self._ring_custody()
-        if ring_map is None:
-            return
+    def _claim_ring_buckets(self, claim) -> Set[int]:
+        """Ring: slot permutation, access counters and the Z bound."""
         controller = self.controller
-        posmap = controller.posmap
-        ring_oram = controller.ring_oram
-        levels = ring_oram.levels
-        tree_resident: Set[int] = set()
+        ring_map = controller.side_map
+        levels = controller.side_oram.levels
+        resident: Set[int] = set()
         for level, position, bucket in controller.iter_ring_buckets():
             slots = bucket.slots
             real = 0
@@ -394,7 +384,7 @@ class InvariantAuditor:
                     continue
                 real += 1
                 claim(block, f"ring@L{level}")
-                tree_resident.add(block)
+                resident.add(block)
                 if index in bucket.touched:
                     self._fail(
                         f"ring bucket (L{level}, {position}) slot {index} "
@@ -433,30 +423,7 @@ class InvariantAuditor:
                     f"ring bucket (L{level}, {position}) touched-slot set "
                     f"references slots outside the bucket"
                 )
-        for block, leaf in controller.ring_stash.items():
-            claim(block, "ring-stash")
-            if ring_map.get(block) != leaf:
-                self._fail(
-                    f"ring-stash leaf tag for block {block} disagrees "
-                    f"with the ring map"
-                )
-        for block in controller._pending_main_insert:
-            claim(block, "pending-main-insert")
-            if posmap.is_mapped(block):
-                self._fail(
-                    f"pending-main-insert block {block} already mapped"
-                )
-        for block in ring_map:
-            if posmap.is_mapped(block):
-                self._fail(
-                    f"ring-custody block {block} still mapped in the "
-                    f"main PosMap (promotion must be exclusive)"
-                )
-            if block not in tree_resident and block not in controller.ring_stash:
-                self._fail(
-                    f"ring-custody block {block} in neither the ring "
-                    f"tree nor the ring stash"
-                )
+        return resident
 
     def _check_stash_bounds(self) -> None:
         controller = self.controller
@@ -467,23 +434,14 @@ class InvariantAuditor:
                 f"stash bound exceeded: occupancy {len(stash)}, "
                 f"high-water {stash.peak_occupancy}, capacity {capacity}"
             )
-        small = getattr(controller, "small_stash", None)
-        if small is not None:
-            small_cap = controller.small_oram.stash_capacity
-            if len(small) > small_cap or small.peak_occupancy > small_cap:
+        side = getattr(controller, "side_stash", None)
+        if side is not None:
+            side_cap = controller.side_oram.stash_capacity
+            if len(side) > side_cap or side.peak_occupancy > side_cap:
                 self._fail(
-                    f"small-stash bound exceeded: occupancy {len(small)}, "
-                    f"high-water {small.peak_occupancy}, "
-                    f"capacity {small_cap}"
-                )
-        ring = getattr(controller, "ring_stash", None)
-        if ring is not None:
-            ring_cap = controller.ring_oram.stash_capacity
-            if len(ring) > ring_cap or ring.peak_occupancy > ring_cap:
-                self._fail(
-                    f"ring-stash bound exceeded: occupancy {len(ring)}, "
-                    f"high-water {ring.peak_occupancy}, "
-                    f"capacity {ring_cap}"
+                    f"{controller.KEYS.tag}-stash bound exceeded: "
+                    f"occupancy {len(side)}, high-water "
+                    f"{side.peak_occupancy}, capacity {side_cap}"
                 )
 
     def _check_queues(self) -> None:
@@ -494,38 +452,17 @@ class InvariantAuditor:
                 f"queue={sorted(set(controller.internal_queue))} "
                 f"set={sorted(controller._limbo)}"
             )
-        small_map = self._rho_custody()
-        if small_map is not None:
-            if (
-                set(controller.main_insert_queue)
-                != controller._pending_main_insert
-            ):
-                self._fail("Rho main-insert queue and pending set diverged")
-            if not controller._evicting <= set(small_map):
-                self._fail(
-                    "Rho eviction set references blocks outside the small map"
-                )
-        pyramid_map = self._pyramid_custody()
-        if pyramid_map is not None:
-            if (
-                set(controller.main_insert_queue)
-                != controller._pending_main_insert
-            ):
-                self._fail(
-                    "Pyramid main-insert queue and pending set diverged"
-                )
-        ring_map = self._ring_custody()
-        if ring_map is not None:
-            if (
-                set(controller.main_insert_queue)
-                != controller._pending_main_insert
-            ):
-                self._fail("Ring main-insert queue and pending set diverged")
-            if not controller._evicting <= set(ring_map):
-                self._fail(
-                    "Ring eviction set references blocks outside the "
-                    "ring map"
-                )
+        if not isinstance(controller, TwoTreeController):
+            return
+        family = type(controller).__name__.replace("Controller", "")
+        queued = set(controller.main_insert_queue)
+        if queued != controller._pending_main_insert:
+            self._fail(f"{family} main-insert queue and pending set diverged")
+        if not controller._evicting <= set(controller.side_map):
+            self._fail(
+                f"{family} eviction set references blocks outside the "
+                f"{controller.KEYS.tag} map"
+            )
 
     def _check_treetop_mirror(self) -> None:
         """IR-Stash: the S-Stash address index mirrors top-level residency."""

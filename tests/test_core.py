@@ -240,5 +240,5 @@ class TestSchemes:
         components = build_scheme("Rho", SystemConfig.tiny())
         controller = components.controller
         assert isinstance(controller, RhoController)
-        assert controller.small_oram.levels < components.config.oram.levels
-        assert controller.small_budget > 0
+        assert controller.side_oram.levels < components.config.oram.levels
+        assert controller.side_budget > 0

@@ -229,12 +229,26 @@ class TestStatsKeys:
             known.add(sk.mem_blocks_key(path_type))
         for kind in RequestKind:
             known.add(sk.requests_key(kind))
-        for scheme in ("Baseline", "IR-ORAM", "Rho", "LLC-D"):
+        for scheme in SCHEMES:
             counters = api.run(api.RunSpec(
                 scheme=scheme, workload="mix", records=200, config=TINY
             )).result.counters
             unknown = set(counters) - known
             assert not unknown, f"{scheme}: unregistered stat keys {unknown}"
+
+    def test_two_tree_key_tables_registered(self):
+        from repro.oram.pyramid import PyramidController
+        from repro.oram.rho import RhoController
+        from repro.oram.ring import RingController
+
+        known = set(sk.all_static_keys())
+        labels = {"tag", "hit_label", "stash_hit_label"}
+        for family in (RhoController, RingController, PyramidController):
+            keys = {
+                key for field, key in family.KEYS._asdict().items()
+                if field not in labels and key is not None
+            }
+            assert keys <= known, f"{family.__name__}: {keys - known}"
 
     def test_keys_by_namespace_partition(self):
         grouped = sk.keys_by_namespace()

@@ -110,3 +110,38 @@ class TestControllerFallbacks:
         now, counters = self._dummy_loop(controller, paths=20)
         assert now > 0
         assert counters["paths.total"] == 20
+
+
+class TestNativeStatus:
+    def test_status_matches_availability(self):
+        from repro import options
+
+        assert (native.status == "ok") == native.available()
+        if not options.fastpath():
+            assert native.status == "disabled"
+
+    def test_failed_build_says_why(self, tmp_path):
+        """A compiler that fails leaves the fallbacks on and says so."""
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        env.pop("REPRO_FASTPATH", None)
+        env.update(
+            CC="false",
+            REPRO_FASTPATH_CACHE=str(tmp_path / "cache"),
+            PYTHONPATH=os.pathsep.join(sys.path),
+        )
+        probe = (
+            "from repro.perf import native\n"
+            "print(native.fastpath is None)\n"
+            "print(native.status)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.splitlines()
+        assert out[0] == "True"
+        assert out[1].startswith("build failed: ")
+        assert "false" in out[1]

@@ -30,35 +30,12 @@ from repro.sim.simulator import Simulator
 from repro.validate.invariants import InvariantAuditor
 
 from tests.conftest import derived_seed
+from tests.twotree_cases import FamilyProtocolCases, drive, drive_blocks
 
 
 @pytest.fixture
 def ring():
     return build_scheme("Ring", SystemConfig.tiny()).controller
-
-
-def drive(controller, request, now=0, limit=200):
-    controller.enqueue(request)
-    slots = 0
-    while request.completion is None and slots < limit:
-        result = controller.step(now, allow_dummy=True)
-        assert result is not None
-        now = max(now + 1, result.finish_write)
-        slots += 1
-    assert request.completion is not None
-    return now
-
-
-def drive_blocks(controller, blocks, rng, now=0):
-    for block in blocks:
-        request = Request(
-            block=block,
-            kind=RequestKind.READ,
-            arrival=now,
-            is_write=rng.random() < 0.4,
-        )
-        now = drive(controller, request, now=now, limit=400)
-    return now
 
 
 class TestSizing:
@@ -70,55 +47,17 @@ class TestSizing:
         assert scaled_ring_levels(5, llc_lines=1 << 20) == 4
 
     def test_bucket_geometry(self, ring):
-        assert ring.ring_oram.z_per_level[0] == RING_Z + RING_S
+        assert ring.side_oram.z_per_level[0] == RING_Z + RING_S
         for _, _, bucket in ring.iter_ring_buckets():
             assert len(bucket.slots) == RING_Z + RING_S
 
 
-class TestPromotionAndHits:
-    def test_promotion_after_main_access(self, ring):
-        request = Request(block=3, kind=RequestKind.READ, arrival=0)
-        drive(ring, request)
-        assert 3 in ring.ring_map
-        assert not ring.posmap.is_mapped(3)
-        assert ring.stats.get("ring.promotions") >= 1
-
-    def test_second_access_hits_ring_structures(self, ring):
-        first = Request(block=3, kind=RequestKind.READ, arrival=0)
-        now = drive(ring, first)
-        second = Request(block=3, kind=RequestKind.READ, arrival=now)
-        drive(ring, second, now=now)
-        hits = (
-            ring.stats.get("ring.hits")
-            + ring.stats.get("ring.stash_hits")
-        )
-        assert hits >= 1
-
-    def test_ring_budget_enforced(self, rng):
-        controller = build_scheme("Ring", SystemConfig.tiny()).controller
-        drive_blocks(
-            controller, range(controller.ring_budget + 20), rng
-        )
-        active = len(controller.ring_map) - len(controller._evicting)
-        assert active <= controller.ring_budget
-        assert controller.stats.get("ring.evictions") > 0
-
-    def test_extraction_round_trip(self, rng):
-        controller = build_scheme("Ring", SystemConfig.tiny()).controller
-        blocks = list(range(controller.ring_budget + 8))
-        now = drive_blocks(controller, blocks, rng)
-        for _ in range(600):
-            if not controller.has_any_real_work():
-                break
-            result = controller.step(now, allow_dummy=True)
-            if result is None:
-                break
-            now = max(now + 1, result.finish_write)
-        assert controller.stats.get("ring.main_reinserts") > 0
-        for block in blocks:
-            in_ring = block in controller.ring_map
-            pending = block in controller._pending_main_insert
-            assert in_ring or pending or controller.posmap.is_mapped(block)
+class TestPromotionAndHits(FamilyProtocolCases):
+    SCHEME = "Ring"
+    PROMOTIONS = "ring.promotions"
+    HITS = ("ring.hits", "ring.stash_hits")
+    EVICTIONS = "ring.evictions"
+    REINSERTS = "ring.main_reinserts"
 
 
 class TestReadPathOneTouch:
@@ -130,8 +69,8 @@ class TestReadPathOneTouch:
         controller = build_scheme(
             "Ring", SystemConfig.tiny(), rng=random.Random(seed)
         ).controller
-        layout = controller.ring_layout
-        levels = controller.ring_oram.levels
+        layout = controller.side_layout
+        levels = controller.side_oram.levels
         per_path = []
 
         def observe(record):
@@ -216,7 +155,7 @@ class TestEvictSchedule:
         controller = build_scheme(
             "Ring", SystemConfig.tiny(), rng=random.Random(seed)
         ).controller
-        levels = controller.ring_oram.levels
+        levels = controller.side_oram.levels
         evict_leaves = []
 
         def observe(record):
@@ -231,7 +170,7 @@ class TestEvictSchedule:
         drive_blocks(controller, [rng.randrange(50) for _ in range(40)], rng)
         assert len(evict_leaves) >= 2
         expected = [
-            _bit_reverse(g % controller.ring_leaves, levels - 1)
+            _bit_reverse(g % controller.side_leaves, levels - 1)
             for g in range(len(evict_leaves))
         ]
         assert evict_leaves == expected
@@ -256,9 +195,9 @@ class TestStashBound:
         ).controller
         rng = random.Random(seed ^ 0xE1)
         drive_blocks(controller, [rng.randrange(80) for _ in range(60)], rng)
-        capacity = controller.ring_oram.stash_capacity
-        assert controller.ring_stash.peak_occupancy <= capacity
-        assert len(controller.ring_stash) <= capacity
+        capacity = controller.side_oram.stash_capacity
+        assert controller.side_stash.peak_occupancy <= capacity
+        assert len(controller.side_stash) <= capacity
 
 
 class TestAuditorIntegration:

@@ -214,7 +214,7 @@ class TestMultiShapeSchemes:
         tree's much larger space.
         """
         recorder, components = run_with_recorder("Rho", config)
-        small = components.controller.small_oram
+        small = components.controller.side_oram
         small_size = sum(small.z_per_level)
         report = check_obliviousness(
             recorder, components.config.oram,

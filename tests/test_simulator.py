@@ -159,7 +159,7 @@ class TestSchemeBehaviour:
                         holders[block] = holders.get(block, 0) + 1
         for holder in (
             controller.stash.blocks(),
-            controller.small_stash.blocks(),
+            controller.side_stash.blocks(),
             list(controller.plb._cache.contents()),
             list(controller._limbo),
             list(controller.main_insert_queue),

@@ -26,6 +26,7 @@ from repro.validate import fuzz as fuzz_mod
 from repro.validate import golden
 
 AUDIT_SCHEMES = ("Baseline", "IR-ORAM", "LLC-D", "Rho", "Ring")
+TWO_TREE_SCHEMES = ("Rho", "Ring", "Pyramid")
 
 
 def warmed_controller(scheme="Baseline", records=40, seed=5):
@@ -119,6 +120,70 @@ class TestAuditorCatchesCorruption:
             auditor.observe(
                 slot(2 * controller.oram.issue_interval - 1)
             )
+
+
+def promote_one(controller):
+    """Read blocks until one lands fresh in side custody; return it.
+
+    For Rho and Ring the block then sits in the on-chip side stash, for
+    Pyramid in its level map, so a test can move it out of custody
+    without touching any side tree.
+    """
+    from repro.oram.types import Request, RequestKind
+
+    side_stash = controller.side_stash
+    now = 0
+    for block in range(controller.namespace.user_blocks):
+        if block in controller.side_map or not controller.posmap.is_mapped(
+            block
+        ):
+            continue
+        request = Request(block=block, kind=RequestKind.READ, arrival=now)
+        controller.enqueue(request)
+        for _ in range(400):
+            if request.completion is not None:
+                break
+            result = controller.step(now, allow_dummy=False)
+            now = now + 1 if result is None else max(
+                now + 1, result.finish_write
+            )
+        if block in controller.side_map and (
+            side_stash is None or block in side_stash
+        ):
+            return block
+    raise AssertionError("no block was promoted")
+
+
+class TestTwoTreeCorruption:
+    """The shared two-tree custody and queue checks fire for each family."""
+
+    @pytest.fixture(params=TWO_TREE_SCHEMES)
+    def audited(self, request):
+        controller = warmed_controller(request.param)
+        block = promote_one(controller)
+        auditor = InvariantAuditor(controller, every=1)
+        auditor.audit_now()  # sane before the corruption
+        return controller, auditor, block
+
+    def test_pending_insert_missing_from_queue(self, audited):
+        controller, auditor, block = audited
+        # hand the block back toward the main tree, skipping the queue
+        del controller.side_map[block]
+        if controller.side_stash is not None:
+            controller.side_stash.remove(block)
+        controller._pending_main_insert.add(block)
+        with pytest.raises(
+            AuditError, match="main-insert queue and pending set diverged"
+        ):
+            auditor.audit_now()
+
+    def test_custody_block_still_mapped(self, audited):
+        controller, auditor, block = audited
+        controller.posmap.restore(block)
+        with pytest.raises(
+            AuditError, match=r"custody block \d+ still mapped in the main"
+        ):
+            auditor.audit_now()
 
 
 class TestBitIdentity:
