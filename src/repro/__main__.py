@@ -120,6 +120,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             for key, value in out.breakdown.fractions().items()
             if value > 0.0005
         ))
+    print(f"{'':<26} native kernels: {out.native_status}")
     if args.trace_out:
         print(f"trace written to {args.trace_out}")
     if args.metrics_out:

@@ -47,6 +47,7 @@ from .obs import (
     TraceEvent,
     Tracer,
 )
+from .perf import native
 from .sim.results import SimulationResult
 from .stats import Stats
 from .traces.trace import Trace
@@ -156,6 +157,9 @@ class RunResult:
     result: SimulationResult
     stats: Stats
     wall_s: float
+    #: :data:`repro.perf.native.status` of the process that ran it ("ok",
+    #: "disabled", ...); kept out of the counters so digests stay put
+    native_status: str
 
     # -- convenience views -------------------------------------------------
     @property
@@ -322,7 +326,9 @@ def run(
         with open(spec.obs.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(stats.to_json(indent=1))
             handle.write("\n")
-    return RunResult(spec, result, stats, time.perf_counter() - start)
+    return RunResult(
+        spec, result, stats, time.perf_counter() - start, native.status
+    )
 
 
 def _record_batch_counters(controller, stats: Stats) -> None:
@@ -424,7 +430,9 @@ def resume_run(
         with open(spec.obs.metrics_out, "w", encoding="utf-8") as handle:
             handle.write(stats.to_json(indent=1))
             handle.write("\n")
-    return RunResult(spec, result, stats, time.perf_counter() - start)
+    return RunResult(
+        spec, result, stats, time.perf_counter() - start, native.status
+    )
 
 
 def campaign_key(spec: RunSpec) -> str:

@@ -221,9 +221,7 @@ class PathORAMController:
     # ------------------------------------------------------------------
     def _initialize_tree(self) -> None:
         """Place every namespace block into the tree along its random path."""
-        overflow = self.tree.initialize(
-            range(self.namespace.total_blocks), self.posmap.leaf_of, self.rng
-        )
+        overflow = self.tree.initialize(self.posmap._leaf_of, self.rng)
         for block in overflow:
             self.stash.add(block, self.posmap.leaf_of(block))
         # Mirror top-level residency into the tree-top structure.

@@ -17,6 +17,7 @@ import random
 from typing import List
 
 from ..errors import ProtocolError
+from ..perf.native import fastpath as _native
 from .types import Namespace
 
 #: Sentinel leaf meaning "mapping discarded" (LLC-D delayed remapping).
@@ -30,9 +31,14 @@ class PositionMap:
         self.namespace = namespace
         self.leaves = leaves
         self._rng = rng
-        self._leaf_of: List[int] = [
-            rng.randrange(leaves) for _ in range(namespace.total_blocks)
-        ]
+        count = namespace.total_blocks
+        if _native is not None and type(rng) is random.Random:
+            # Same getrandbits bit stream as randrange (plain Random only).
+            self._leaf_of: List[int] = _native.posmap_leaves(
+                rng.getrandbits, leaves, count
+            )
+        else:
+            self._leaf_of = [rng.randrange(leaves) for _ in range(count)]
         self.remap_count = 0
 
     def leaf_of(self, block: int) -> int:

@@ -188,35 +188,35 @@ class ORAMTree:
     def total_used(self) -> int:
         return sum(self.level_used)
 
-    def initialize(self, blocks: Iterable[int], leaf_of, rng: random.Random):
-        """Place blocks into the tree bottom-up along their assigned paths.
+    def initialize(
+        self, leaf_table: List[int], rng: random.Random
+    ) -> List[int]:
+        """Place blocks ``0..len(leaf_table)-1`` bottom-up along their paths.
 
-        ``leaf_of`` maps block -> leaf.  Blocks whose entire path is full are
-        returned to the caller (they start life in the stash).  A shuffled
-        placement order avoids systematic bias.
+        ``leaf_table[block]`` is the block's assigned leaf.  Blocks whose
+        entire path is full are returned to the caller (they start life in
+        the stash).  A shuffled placement order avoids systematic bias.
+        The tree must be empty.
         """
-        overflow: List[int] = []
-        block_list = list(blocks)
-        rng.shuffle(block_list)
         if self.total_used():
-            # Pre-occupied tree: fall back to per-slot placement.
-            for block in block_list:
-                leaf = leaf_of(block)
-                for level in range(self.levels - 1, -1, -1):
-                    if self.z_per_level[level] == 0:
-                        continue
-                    if self.place(level, self.path_position(leaf, level), block):
-                        break
-                else:
-                    overflow.append(block)
-            return overflow
-        # Bulk placement into a fresh tree only ever fills the first empty
-        # slot of each bucket, so per-bucket fill counters stand in for slot
+            raise ProtocolError("initialize needs an empty tree")
+        if _native is not None and self._dense and type(rng) is random.Random:
+            # Same getrandbits bit stream as rng.shuffle (plain Random
+            # only), same placement as the loop below.
+            return _native.tree_init(
+                rng.getrandbits, leaf_table, self._buckets,
+                self.z_per_level, self.level_used, EMPTY,
+            )
+        block_list = list(range(len(leaf_table)))
+        rng.shuffle(block_list)
+        # Placement into a fresh tree only ever fills the first empty slot
+        # of each bucket, so per-bucket fill counters stand in for slot
         # scans; buckets materialize once at the end.
         levels = self.levels
         shift = levels - 1
         z_per_level = self.z_per_level
         level_used = self.level_used
+        overflow: List[int] = []
         fill: Dict[int, int] = {}
         pending: Dict[int, List[int]] = {}
         active_levels = [
@@ -224,7 +224,7 @@ class ORAMTree:
             if z_per_level[level] != 0
         ]
         for block in block_list:
-            leaf = leaf_of(block)
+            leaf = leaf_table[block]
             for level in active_levels:
                 index = (1 << level) - 1 + (leaf >> (shift - level))
                 count = fill.get(index, 0)

@@ -1759,6 +1759,261 @@ fail:
     return NULL;
 }
 
+/* ---------------------------------------------------------------- */
+/* Initial ORAM state                                               */
+/* ---------------------------------------------------------------- */
+
+/* Random._randbelow_with_getrandbits over the RNG's bound getrandbits:
+ * draw bit_length(n) bits, rejecting draws >= n (n >= 1), so the bit
+ * stream and the RNG state afterwards match randrange(n) exactly — the
+ * same loop run_batch inlines.  Returns the accepted draw as a new
+ * reference (its value also in *value_out unless that is NULL), or
+ * NULL with an exception set.
+ */
+static PyObject *
+randbelow_obj(PyObject *getrandbits, unsigned long long n,
+              unsigned long long *value_out)
+{
+    PyObject *bits = PyLong_FromLongLong(bit_length(n));
+    if (bits == NULL)
+        return NULL;
+    for (;;) {
+        PyObject *draw = PyObject_CallOneArg(getrandbits, bits);
+        if (draw == NULL)
+            break;
+        unsigned long long value = PyLong_AsUnsignedLongLong(draw);
+        if (value == (unsigned long long)-1 && PyErr_Occurred()) {
+            Py_DECREF(draw);
+            break;
+        }
+        if (value < n) {
+            Py_DECREF(bits);
+            if (value_out != NULL)
+                *value_out = value;
+            return draw;
+        }
+        Py_DECREF(draw);
+    }
+    Py_DECREF(bits);
+    return NULL;
+}
+
+/* posmap_leaves(getrandbits, leaves, count) -> [leaf, ...]
+ *
+ * ``count`` draws of randrange(leaves), in order.  Mirrors the leaf
+ * table PositionMap.__init__ builds.
+ */
+static PyObject *
+posmap_leaves(PyObject *self, PyObject *args)
+{
+    PyObject *getrandbits;
+    long long leaves;
+    Py_ssize_t count;
+    if (!PyArg_ParseTuple(args, "OLn", &getrandbits, &leaves, &count))
+        return NULL;
+    if (leaves < 1 || count < 0) {
+        PyErr_SetString(PyExc_ValueError, "posmap_leaves needs leaves >= 1");
+        return NULL;
+    }
+    PyObject *table = PyList_New(count);
+    if (table == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *leaf = randbelow_obj(
+            getrandbits, (unsigned long long)leaves, NULL);
+        if (leaf == NULL) {
+            Py_DECREF(table);
+            return NULL;
+        }
+        PyList_SET_ITEM(table, i, leaf);
+    }
+    return table;
+}
+
+/* tree_init(getrandbits, leaf_table, buckets, z_per_level, level_used,
+ *           empty) -> [overflow block, ...]
+ *
+ * Fresh-tree initial placement of blocks 0..len(leaf_table)-1: shuffle
+ * them exactly as Random.shuffle does, then place each, in that order,
+ * into the first free slot of the deepest bucket on its path with room.
+ * ``buckets`` is the dense heap-ordered bucket list (None = untouched);
+ * only buckets that receive a block are written, either into the
+ * existing slot list or as a new list padded with ``empty``.
+ * ``level_used`` is incremented in place.  Blocks whose whole path is
+ * full come back in placement order.  Mirrors the pure-Python loop in
+ * ORAMTree.initialize.  Scratch is one int32 per real slot
+ * (sum of Z * buckets per level) plus one per block.
+ */
+static PyObject *
+tree_init(PyObject *self, PyObject *args)
+{
+    PyObject *getrandbits, *leaf_table, *buckets, *z_seq, *level_used;
+    long long empty;
+    if (!PyArg_ParseTuple(args, "OO!O!OO!L", &getrandbits,
+                          &PyList_Type, &leaf_table, &PyList_Type, &buckets,
+                          &z_seq, &PyList_Type, &level_used, &empty))
+        return NULL;
+    PyObject *z_fast = PySequence_Fast(z_seq, "z_per_level must be a sequence");
+    if (z_fast == NULL)
+        return NULL;
+    Py_ssize_t levels = PySequence_Fast_GET_SIZE(z_fast);
+    Py_ssize_t n = PyList_GET_SIZE(leaf_table);
+    if (levels < 1 || levels >= FASTPATH_MAX_LEVELS ||
+        PyList_GET_SIZE(buckets) != ((Py_ssize_t)1 << levels) - 1 ||
+        PyList_GET_SIZE(level_used) < levels || n > INT32_MAX) {
+        Py_DECREF(z_fast);
+        PyErr_SetString(PyExc_ValueError, "unsupported tree_init geometry");
+        return NULL;
+    }
+    long long z_arr[FASTPATH_MAX_LEVELS];
+    long long placed[FASTPATH_MAX_LEVELS];
+    Py_ssize_t level_base[FASTPATH_MAX_LEVELS];
+    Py_ssize_t total_slots = 0;
+    for (Py_ssize_t d = 0; d < levels; d++) {
+        z_arr[d] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(z_fast, d));
+        if (z_arr[d] == -1 && PyErr_Occurred()) {
+            Py_DECREF(z_fast);
+            return NULL;
+        }
+        if (z_arr[d] < 0 || z_arr[d] > INT32_MAX ||
+            z_arr[d] > (PY_SSIZE_T_MAX - total_slots) >> d) {
+            Py_DECREF(z_fast);
+            PyErr_SetString(PyExc_ValueError, "unsupported bucket size");
+            return NULL;
+        }
+        placed[d] = 0;
+        level_base[d] = total_slots;
+        total_slots += (Py_ssize_t)z_arr[d] << d;
+    }
+    Py_DECREF(z_fast);
+
+    int32_t *order = PyMem_Malloc(sizeof(int32_t) * (size_t)(n ? n : 1));
+    int32_t *slots = PyMem_Malloc(
+        sizeof(int32_t) * (size_t)(total_slots ? total_slots : 1));
+    PyObject *overflow = PyList_New(0);
+    PyObject *empty_obj = PyLong_FromLongLong(empty);
+    if (order == NULL || slots == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if (overflow == NULL || empty_obj == NULL)
+        goto fail;
+
+    /* Random.shuffle over range(n): for i = n-1 .. 1, swap i with
+     * randbelow(i + 1).
+     */
+    for (Py_ssize_t i = 0; i < n; i++)
+        order[i] = (int32_t)i;
+    for (Py_ssize_t i = n - 1; i > 0; i--) {
+        unsigned long long j;
+        PyObject *draw = randbelow_obj(
+            getrandbits, (unsigned long long)i + 1, &j);
+        if (draw == NULL)
+            goto fail;
+        Py_DECREF(draw);
+        int32_t tmp = order[i];
+        order[i] = order[j];
+        order[j] = tmp;
+    }
+    /* getrandbits may be any callable: make sure the lists it could
+     * reach still have the sizes checked above.
+     */
+    if (PyList_GET_SIZE(leaf_table) != n ||
+        PyList_GET_SIZE(buckets) != ((Py_ssize_t)1 << levels) - 1 ||
+        PyList_GET_SIZE(level_used) < levels) {
+        PyErr_SetString(PyExc_RuntimeError, "tree_init inputs resized");
+        goto fail;
+    }
+
+    /* Bottom-up first-free placement; -1 marks a free scratch slot. */
+    memset(slots, 0xff, sizeof(int32_t) * (size_t)total_slots);
+    long long shift = levels - 1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int32_t block = order[i];
+        long long leaf = PyLong_AsLongLong(PyList_GET_ITEM(leaf_table, block));
+        if (leaf == -1 && PyErr_Occurred())
+            goto fail;
+        if (leaf < 0 || (leaf >> shift) != 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "block %d maps to leaf %lld outside the tree",
+                         (int)block, leaf);
+            goto fail;
+        }
+        int done = 0;
+        for (long long d = shift; d >= 0 && !done; d--) {
+            long long z = z_arr[d];
+            int32_t *bucket = slots + level_base[d] + (leaf >> (shift - d)) * z;
+            for (long long k = 0; k < z; k++) {
+                if (bucket[k] < 0) {
+                    bucket[k] = block;
+                    placed[d]++;
+                    done = 1;
+                    break;
+                }
+            }
+        }
+        if (!done) {
+            PyObject *block_obj = PyLong_FromLong(block);
+            if (block_obj == NULL)
+                goto fail;
+            int rc = PyList_Append(overflow, block_obj);
+            Py_DECREF(block_obj);
+            if (rc < 0)
+                goto fail;
+        }
+    }
+
+    /* Materialize every bucket that received a block. */
+    for (Py_ssize_t d = 0; d < levels; d++) {
+        Py_ssize_t z = (Py_ssize_t)z_arr[d];
+        if (z == 0 || placed[d] == 0)
+            continue;
+        Py_ssize_t first = ((Py_ssize_t)1 << d) - 1;
+        for (Py_ssize_t pos = 0; pos < ((Py_ssize_t)1 << d); pos++) {
+            int32_t *bucket = slots + level_base[d] + pos * z;
+            if (bucket[0] < 0)
+                continue;
+            PyObject *list = PyList_GET_ITEM(buckets, first + pos);
+            if (list == Py_None) {
+                list = PyList_New(z);
+                if (list == NULL)
+                    goto fail;
+                for (Py_ssize_t k = 0; k < z; k++)
+                    PyList_SET_ITEM(list, k, Py_NewRef(empty_obj));
+                PyList_SetItem(buckets, first + pos, list);
+            } else if (!PyList_Check(list) || PyList_GET_SIZE(list) != z) {
+                PyErr_SetString(PyExc_TypeError,
+                                "bucket must be None or a Z-slot list");
+                goto fail;
+            }
+            for (Py_ssize_t k = 0; k < z && bucket[k] >= 0; k++) {
+                PyObject *block_obj = PyLong_FromLong(bucket[k]);
+                if (block_obj == NULL)
+                    goto fail;
+                PyList_SetItem(list, k, block_obj);
+            }
+        }
+        long long used = PyLong_AsLongLong(PyList_GET_ITEM(level_used, d));
+        if (used == -1 && PyErr_Occurred())
+            goto fail;
+        PyObject *used_obj = PyLong_FromLongLong(used + placed[d]);
+        if (used_obj == NULL)
+            goto fail;
+        PyList_SetItem(level_used, d, used_obj);
+    }
+    PyMem_Free(order);
+    PyMem_Free(slots);
+    Py_DECREF(empty_obj);
+    return overflow;
+
+fail:
+    PyMem_Free(order);
+    PyMem_Free(slots);
+    Py_XDECREF(empty_obj);
+    Py_XDECREF(overflow);
+    return NULL;
+}
+
 static PyMethodDef fastpath_methods[] = {
     {"dram_service", dram_service, METH_VARARGS,
      "Batch DRAM timing over pre-decomposed (bank, channel, row) triples."},
@@ -1776,6 +2031,10 @@ static PyMethodDef fastpath_methods[] = {
      "Pack a (triples, blocks) cache entry into the kernel's byte form."},
     {"run_batch", run_batch, METH_VARARGS,
      "Whole-batch dummy-path execution over live controller state."},
+    {"posmap_leaves", posmap_leaves, METH_VARARGS,
+     "Initial PosMap leaf table: count draws of randrange(leaves)."},
+    {"tree_init", tree_init, METH_VARARGS,
+     "Shuffle and bottom-up placement of the initial ORAM tree."},
     {NULL, NULL, 0, NULL},
 };
 

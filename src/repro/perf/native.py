@@ -1,6 +1,7 @@
 """On-demand build and load of the optional C hot-path kernels.
 
 The simulator's innermost loops (batch DRAM timing, path read-and-clear)
+and the initial-state build (PosMap leaf draws, shuffled tree placement)
 have bit-identical C implementations in ``_fastpath.c``.  This module
 compiles them with the system C compiler on first use, caches the shared
 object under ``~/.cache/repro-fastpath/`` keyed by source hash and Python
@@ -20,6 +21,7 @@ import hashlib
 import importlib.machinery
 import importlib.util
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -122,6 +124,31 @@ def _self_test(module) -> bool:
     meta = [(0, 2, 0, 0, [5], 3, 1)]
     triples = module.path_triples(0, meta, 4, 2, 2)
     if triples != [0, 0, 4, 0, 0, 4]:
+        return False
+
+    # Initial state: 7 blocks, 3 levels with Z = (1, 0, 2), seed 24.  The
+    # leaf draws and the shuffle must leave the RNG exactly where
+    # randrange and shuffle would; one bucket stays untouched, two are
+    # half full, and blocks 1 and 5 overflow, in that order.
+    rng = random.Random(24)
+    ref = random.Random(24)
+    leaves = module.posmap_leaves(rng.getrandbits, 4, 7)
+    if leaves != [3, 1, 1, 1, 1, 1, 0]:
+        return False
+    buckets = [None] * 7
+    level_used = [0, 0, 0]
+    overflow = module.tree_init(
+        rng.getrandbits, leaves, buckets, (1, 0, 2), level_used, -1
+    )
+    for _ in range(7):
+        ref.randrange(4)
+    ref.shuffle(list(range(7)))
+    if not (
+        overflow == [1, 5]
+        and buckets == [[2], None, None, [6, -1], [3, 4], None, [0, -1]]
+        and level_used == [1, 0, 4]
+        and rng.getstate() == ref.getstate()
+    ):
         return False
 
     # Whole-path batch: 2 leaves, 2 levels, block 3 sits at the root of

@@ -12,9 +12,16 @@ import random
 
 import pytest
 
-from repro.config import DRAMConfig, SystemConfig
+from repro import api
+from repro.config import DRAMConfig, ORAMConfig, SystemConfig
+from repro.errors import ConfigError
 from repro.mem.dram import DRAMModel
+from repro.oram import posmap as posmap_mod
+from repro.oram import tree as tree_mod
 from repro.oram.controller import PathORAMController
+from repro.oram.posmap import PositionMap
+from repro.oram.tree import ORAMTree
+from repro.oram.types import Namespace
 from repro.perf import native
 
 
@@ -112,6 +119,118 @@ class TestControllerFallbacks:
         assert counters["paths.total"] == 20
 
 
+def _init_oram(levels, pattern):
+    """A tree filled to ~90% of its slots, so some paths overflow."""
+    if pattern == "uniform":
+        z = (4,) * levels
+    elif pattern == "zero-top":
+        # IR-Alloc style: the top levels hold no memory-backed slots.
+        top = min(2, levels - 1)
+        z = (0,) * top + (4,) * (levels - top)
+    else:
+        # Z=1 levels with Z=0 gaps and a Z=2 bottom: heavy overflow.
+        z = tuple(0 if level % 3 == 1 else 1 for level in range(levels - 1))
+        z += (2,)
+    slots = sum(zl << level for level, zl in enumerate(z))
+    user_blocks = max(1, slots * 9 // 10)
+    while True:
+        try:
+            return ORAMConfig(
+                levels=levels, user_blocks=user_blocks, z_per_level=z
+            )
+        except ConfigError:
+            user_blocks -= max(1, user_blocks // 20)
+
+
+def _initial_state(oram, rng):
+    posmap = PositionMap(Namespace(oram), oram.leaves, rng)
+    tree = ORAMTree(oram)
+    overflow = tree.initialize(posmap._leaf_of, rng)
+    return posmap, tree, overflow
+
+
+class _KernelSpy:
+    """Records which kernels a module-level ``_native`` binding served."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self._module, name)
+
+
+@pytest.mark.skipif(native.fastpath is None,
+                    reason="native kernels unavailable")
+class TestInitialStateKernels:
+    """posmap_leaves + tree_init against the Python spec they replace."""
+
+    @staticmethod
+    def _python_state(oram, rng, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(tree_mod, "_native", None)
+            patch.setattr(posmap_mod, "_native", None)
+            return _initial_state(oram, rng)
+
+    @pytest.mark.parametrize("seed", [7, 1009])
+    @pytest.mark.parametrize("pattern", ["uniform", "zero-top", "thin"])
+    @pytest.mark.parametrize("levels", list(range(2, 13)) + [15])
+    def test_native_matches_python(self, levels, pattern, seed, monkeypatch):
+        oram = _init_oram(levels, pattern)
+        fast_rng = random.Random(seed)
+        fast_map, fast_tree, fast_overflow = _initial_state(oram, fast_rng)
+        slow_rng = random.Random(seed)
+        slow_map, slow_tree, slow_overflow = self._python_state(
+            oram, slow_rng, monkeypatch
+        )
+        assert fast_map._leaf_of == slow_map._leaf_of
+        assert fast_tree._buckets == slow_tree._buckets
+        assert fast_tree.level_used == slow_tree.level_used
+        assert fast_overflow == slow_overflow
+        assert fast_rng.getstate() == slow_rng.getstate()
+        assert fast_tree.total_used() + len(fast_overflow) == len(
+            fast_map._leaf_of
+        )
+        if pattern == "thin" and levels >= 4:
+            assert fast_overflow  # the overflow order is exercised
+
+    def test_random_subclass_takes_python_path(self, monkeypatch):
+        class Subclassed(random.Random):
+            pass
+
+        oram = _init_oram(8, "thin")
+        expected = _initial_state(oram, random.Random(3))
+        spy = _KernelSpy(native.fastpath)
+        monkeypatch.setattr(tree_mod, "_native", spy)
+        monkeypatch.setattr(posmap_mod, "_native", spy)
+        posmap, tree, overflow = _initial_state(oram, Subclassed(3))
+        assert spy.calls == []
+        assert posmap._leaf_of == expected[0]._leaf_of
+        assert tree._buckets == expected[1]._buckets
+        assert tree.level_used == expected[1].level_used
+        assert overflow == expected[2]
+
+    def test_sparse_tree_takes_python_path(self, monkeypatch):
+        oram = _init_oram(8, "thin")
+        fast_rng = random.Random(11)
+        expected = _initial_state(oram, fast_rng)
+        spy = _KernelSpy(native.fastpath)
+        monkeypatch.setattr(tree_mod, "_native", spy)
+        monkeypatch.setattr(ORAMTree, "DENSE_LEVEL_LIMIT", 4)
+        slow_rng = random.Random(11)
+        posmap, tree, overflow = _initial_state(oram, slow_rng)
+        assert not tree._dense
+        assert "tree_init" not in spy.calls
+        assert posmap._leaf_of == expected[0]._leaf_of
+        sparse = {(l, p): s for l, p, s in tree.iter_buckets()}
+        dense = {(l, p): s for l, p, s in expected[1].iter_buckets()}
+        assert sparse == dense
+        assert tree.level_used == expected[1].level_used
+        assert overflow == expected[2]
+        assert slow_rng.getstate() == fast_rng.getstate()
+
+
 class TestNativeStatus:
     def test_status_matches_availability(self):
         from repro import options
@@ -145,3 +264,32 @@ class TestNativeStatus:
         assert out[0] == "True"
         assert out[1].startswith("build failed: ")
         assert "false" in out[1]
+
+    def test_run_result_carries_status(self):
+        out = api.run(api.RunSpec(
+            scheme="Baseline", workload="random", records=60,
+            config=SystemConfig.tiny(),
+        ))
+        assert out.native_status == native.status
+        if native.available():
+            assert out.native_status == "ok"
+
+    def test_run_result_says_disabled(self):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, REPRO_FASTPATH="0",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        probe = (
+            "from repro import api\n"
+            "from repro.config import SystemConfig\n"
+            "out = api.run(api.RunSpec(scheme='Baseline', workload='random',"
+            " records=60, config=SystemConfig.tiny()))\n"
+            "print(out.native_status)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.split()
+        assert out == ["disabled"]

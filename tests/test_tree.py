@@ -97,13 +97,8 @@ class TestInitialize:
         oram = make_oram(levels=8, top=2)
         tree = ORAMTree(oram)
         rng = random.Random(7)
-        leaves = {
-            block: rng.randrange(oram.leaves)
-            for block in range(oram.user_blocks)
-        }
-        overflow = tree.initialize(
-            range(oram.user_blocks), leaves.__getitem__, rng
-        )
+        leaves = [rng.randrange(oram.leaves) for _ in range(oram.user_blocks)]
+        overflow = tree.initialize(leaves, rng)
         assert tree.total_used() + len(overflow) == oram.user_blocks
         # at ~50% provisioning, overflow should be rare
         assert len(overflow) < oram.user_blocks * 0.02
@@ -112,10 +107,8 @@ class TestInitialize:
         oram = make_oram(levels=7, top=2)
         tree = ORAMTree(oram)
         rng = random.Random(3)
-        leaves = {
-            block: rng.randrange(oram.leaves) for block in range(200)
-        }
-        tree.initialize(range(200), leaves.__getitem__, rng)
+        leaves = [rng.randrange(oram.leaves) for _ in range(200)]
+        tree.initialize(leaves, rng)
         for level in range(7):
             for position in range(1 << level):
                 for block in tree.bucket(level, position):
@@ -127,10 +120,12 @@ class TestInitialize:
         oram = make_oram(levels=8, top=2)
         tree = ORAMTree(oram)
         rng = random.Random(5)
-        leaves = {
-            block: rng.randrange(oram.leaves)
-            for block in range(oram.user_blocks)
-        }
-        tree.initialize(range(oram.user_blocks), leaves.__getitem__, rng)
+        leaves = [rng.randrange(oram.leaves) for _ in range(oram.user_blocks)]
+        tree.initialize(leaves, rng)
         util = tree.level_utilization()
         assert util[7] > util[3]
+
+    def test_rejects_occupied_tree(self, tree):
+        tree.place(5, 0, 1)
+        with pytest.raises(ProtocolError):
+            tree.initialize([0, 1, 2], random.Random(1))
