@@ -235,12 +235,13 @@ def run(
     """Run one :class:`RunSpec` to completion.
 
     ``artifacts`` is an optional :class:`repro.perf.engine.ArtifactCache`
-    supplying pre-built config-derived artifacts (workload traces, subtree
-    layouts, DRAM triple tables).  Everything it caches is a pure function
-    of the config and seed, so injected runs are cycle- and counter-
-    bit-identical to cold ones; the cache's hit/miss deltas are recorded
-    into :attr:`RunResult.stats` under ``engine.*`` *after* the simulation
-    result snapshots its counters, keeping ``result.counters`` clean.
+    supplying pre-built config-derived artifacts (workload traces, and
+    subtree layouts with their per-leaf DRAM-triple memos).  Everything it
+    caches is a pure function of the config and seed, so injected runs are
+    cycle- and counter-bit-identical to cold ones; the cache's hit/miss
+    deltas are recorded into :attr:`RunResult.stats` under ``engine.*``
+    *after* the simulation result snapshots its counters, keeping
+    ``result.counters`` clean.
 
     ``checkpoint_every=N`` writes a resumable mid-run checkpoint to
     ``checkpoint_path`` every N issued paths (``checkpoint_limit`` bounds

@@ -36,6 +36,29 @@ from .request import MemAccess
 _CLOSED = -1
 
 
+def decompose_addresses(
+    config: DRAMConfig, addresses: Iterable[int]
+) -> List[int]:
+    """The address mapping: ``[flat bank, channel, row, ...]`` per address.
+
+    Rows are striped across channels first, then banks; the flat bank
+    index is ``channel * banks_per_channel + bank``.  A pure function of
+    the config, so tree layouts memoize its result per path.
+    """
+    row_blocks = config.row_blocks
+    channels = config.channels
+    banks_per_channel = config.banks_per_channel
+    flat: List[int] = []
+    append = flat.append
+    for phys_block in addresses:
+        row = phys_block // row_blocks
+        channel = row % channels
+        append(channel * banks_per_channel + (row // channels) % banks_per_channel)
+        append(channel)
+        append(row)
+    return flat
+
+
 class DRAMModel:
     """State-holding DRAM timing engine.
 
@@ -69,19 +92,7 @@ class DRAMModel:
         across :meth:`reset_state` and can be cached by callers that service
         the same address batch repeatedly (path reads/writes).
         """
-        cfg = self.config
-        row_blocks = cfg.row_blocks
-        channels = cfg.channels
-        banks_per_channel = cfg.banks_per_channel
-        flat: List[int] = []
-        append = flat.append
-        for phys_block in addresses:
-            row = phys_block // row_blocks
-            channel = row % channels
-            append(channel * banks_per_channel + (row // channels) % banks_per_channel)
-            append(channel)
-            append(row)
-        return flat
+        return decompose_addresses(self.config, addresses)
 
     # -- timing --------------------------------------------------------------
     def service_batch(self, accesses: Iterable[MemAccess], start_cycle: int) -> int:
@@ -224,9 +235,3 @@ class DRAMModel:
         self.bank_open_row[:] = [_CLOSED] * n_banks
         self.bus_free[:] = [0] * self.config.channels
 
-
-def batch_from_addresses(
-    addresses: Iterable[int], is_write: bool
-) -> List[MemAccess]:
-    """Build a batch of :class:`MemAccess` from raw physical addresses."""
-    return [MemAccess(addr, is_write) for addr in addresses]

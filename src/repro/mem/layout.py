@@ -20,10 +20,12 @@ Terminology used here:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..config import DRAMConfig, ORAMConfig
 from ..errors import ConfigError
+from ..perf.native import fastpath as _fastpath
+from .dram import decompose_addresses
 
 
 class TreeLayout:
@@ -32,7 +34,18 @@ class TreeLayout:
     Only levels at or below ``oram.top_cached_levels`` are backed by memory;
     the cached top lives on chip (dedicated tree-top cache or S-Stash).
     Asking for the address of a cached-level slot is a programming error.
+
+    The layout is the one owner of its tree's geometry, including the
+    per-leaf memos derived from it.  They are pure functions of ``(oram
+    levels, Z vector, cached top, dram, base_row)``, so one instance may
+    serve every tree with that geometry (:meth:`repro.perf.engine.
+    ArtifactCache.layout_for` hands it out).  They are FIFO-capped at
+    :attr:`PATH_CACHE_LIMIT` leaves and never cross a pickle, so a
+    checkpoint is the same size whether they are warm or cold.
     """
+
+    #: leaves each per-leaf memo holds before its oldest entry is dropped
+    PATH_CACHE_LIMIT = 1 << 16
 
     def __init__(
         self, oram: ORAMConfig, dram: DRAMConfig, base_row: int = 0
@@ -43,7 +56,17 @@ class TreeLayout:
         self.first_level = oram.top_cached_levels
         self.subtree_levels = self._pick_subtree_levels()
         self._build_tables()
-        self._path_cache: dict = {}
+        #: leaf -> physical addresses of the path (:meth:`path_addresses`)
+        self._addresses: dict = {}
+        #: leaf -> (flat DRAM triples, block count) (:meth:`path_triples`)
+        self._triples: dict = {}
+        #: leaf -> ``_triples[leaf]`` in the batch kernel's packed byte
+        #: form; filled by ``run_batch`` and ``warm_path_caches``
+        self._packed: dict = {}
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_addresses": {}, "_triples": {},
+                "_packed": {}}
 
     # -- construction -------------------------------------------------------
     def _pick_subtree_levels(self) -> int:
@@ -68,20 +91,15 @@ class TreeLayout:
         depth = oram.levels - self.first_level
         if depth <= 0:
             raise ConfigError("layout requires at least one memory level")
-        self.super_levels = (depth + k - 1) // k
 
-        # slot offset of each local bucket (heap order) inside a supernode,
-        # one table per super level.
-        self.local_offsets: List[List[int]] = []
-        self.supernode_slots: List[int] = []
-        #: number of rows reserved per supernode of each super level
-        self.supernode_rows: List[int] = []
         #: first row id of each super level's supernode array
         self.superlevel_row_base: List[int] = []
-
+        # per super level: the slot offset of each local bucket (heap
+        # order) inside a supernode, and the rows reserved per supernode
+        supers: List[Tuple[List[int], int]] = []
         row_blocks = self.dram.row_blocks
         row_cursor = self.base_row
-        for s in range(self.super_levels):
+        for s in range(-(-depth // k)):
             top = self.first_level + s * k
             local_depth = min(k, oram.levels - top)
             offsets: List[int] = []
@@ -91,107 +109,119 @@ class TreeLayout:
                 for _ in range(1 << r):
                     offsets.append(cursor)
                     cursor += z
-            self.local_offsets.append(offsets)
-            self.supernode_slots.append(cursor)
             rows = max(1, -(-cursor // row_blocks))
-            self.supernode_rows.append(rows)
+            supers.append((offsets, rows))
             self.superlevel_row_base.append(row_cursor)
             # one supernode per bucket position at this super level's root
             row_cursor += rows * (1 << top)
         self.total_rows = row_cursor
 
-        # Flat per-level lookup used by the path_addresses() hot path:
-        # (leaf shift, Z, subtree depth r, local mask — doubling as the
-        #  heap-index base (1 << r) - 1 — offsets table, supernode row
-        #  base, rows per supernode).
+        # Per memory level: (Z, subtree depth r, local mask — doubling as
+        # the heap-index base (1 << r) - 1 — offsets table, supernode row
+        # base, rows per supernode).  _level_meta is the z>0 subset with
+        # each level's leaf shift in front: the path walk of
+        # path_addresses() and of the native path_triples kernel.
+        self._bucket_meta: List[tuple] = []
         self._level_meta: List[tuple] = []
         for level in range(self.first_level, oram.levels):
-            z = oram.z_per_level[level]
-            if z == 0:
-                continue
-            rel = level - self.first_level
-            s, r = divmod(rel, k)
-            self._level_meta.append(
-                (
-                    oram.levels - 1 - level,
-                    z,
-                    r,
-                    (1 << r) - 1,
-                    self.local_offsets[s],
-                    self.superlevel_row_base[s],
-                    self.supernode_rows[s],
-                )
+            s, r = divmod(level - self.first_level, k)
+            offsets, rows = supers[s]
+            meta = (
+                oram.z_per_level[level],
+                r,
+                (1 << r) - 1,
+                offsets,
+                self.superlevel_row_base[s],
+                rows,
             )
+            self._bucket_meta.append(meta)
+            if meta[0]:
+                self._level_meta.append((oram.levels - 1 - level,) + meta)
 
     # -- queries -------------------------------------------------------------
     def slot_address(self, level: int, position: int, slot: int) -> int:
         """Physical block address of one tree slot.
 
         Returns ``row_id * row_blocks + offset`` so that callers (and the
-        DRAM model) can recover the row with one integer division.
+        DRAM model) can recover the row with one integer division.  A
+        bucket's slots are consecutive addresses.
         """
-        k = self.subtree_levels
         if level < self.first_level or level >= self.oram.levels:
             raise ConfigError(f"level {level} is not backed by memory")
-        z = self.oram.z_per_level[level]
+        z, r, mask, offsets, row_base, rows = self._bucket_meta[
+            level - self.first_level
+        ]
         if not 0 <= slot < z:
             raise ConfigError(f"slot {slot} out of range for Z={z}")
-        rel = level - self.first_level
-        s, r = divmod(rel, k)
-        # The supernode at super level s covering this bucket:
-        supernode_pos = position >> r
-        local_pos = position & ((1 << r) - 1)
-        local_index = (1 << r) - 1 + local_pos
-        row = (
-            self.superlevel_row_base[s]
-            + supernode_pos * self.supernode_rows[s]
+        row = row_base + (position >> r) * rows
+        return (
+            row * self.dram.row_blocks + offsets[mask + (position & mask)]
+            + slot
         )
-        offset = self.local_offsets[s][local_index] + slot
-        row_blocks = self.dram.row_blocks
-        return (row + offset // row_blocks) * row_blocks + offset % row_blocks
 
     def bucket_addresses(self, level: int, position: int) -> List[int]:
         """Physical block addresses of every slot in a bucket."""
         z = self.oram.z_per_level[level]
-        return [self.slot_address(level, position, s) for s in range(z)]
+        if z == 0:
+            return []
+        base = self.slot_address(level, position, 0)
+        return list(range(base, base + z))
 
     def path_addresses(self, leaf: int) -> List[int]:
-        """Physical addresses of all memory-backed slots on a path.
+        """Memoized physical addresses of all memory-backed slots on a path.
 
         Returned in root-to-leaf order; within the subtree layout this order
         is already monotone per supernode, giving the row-hit behaviour the
         subtree layout exists for.
         """
-        cached = self._path_cache.get(leaf)
-        if cached is not None:
-            return cached
-        row_blocks = self.dram.row_blocks
-        addrs: List[int] = []
-        append = addrs.append
-        for shift, z, r, mask, offsets, row_base, rows in self._level_meta:
-            position = leaf >> shift
-            offset = offsets[mask + (position & mask)]
-            row = row_base + (position >> r) * rows
-            for slot in range(z):
-                combined = offset + slot
-                append(
-                    (row + combined // row_blocks) * row_blocks
-                    + combined % row_blocks
+        cached = self._addresses.get(leaf)
+        if cached is None:
+            row_blocks = self.dram.row_blocks
+            cached = []
+            extend = cached.extend
+            for shift, z, r, mask, offsets, row_base, rows in self._level_meta:
+                position = leaf >> shift
+                base = (
+                    (row_base + (position >> r) * rows) * row_blocks
+                    + offsets[mask + (position & mask)]
                 )
-        if len(self._path_cache) >= 1 << 16:
-            self._path_cache.clear()
-        self._path_cache[leaf] = addrs
-        return addrs
+                extend(range(base, base + z))
+            self._remember(self._addresses, leaf, cached)
+        return cached
 
-    def capacity_blocks(self) -> int:
-        """Total physical blocks reserved (including row-alignment padding)."""
-        return (self.total_rows - self.base_row) * self.dram.row_blocks
+    def path_triples(self, leaf: int) -> Tuple[List[int], int]:
+        """Memoized ``(flat DRAM triples, block count)`` of one path.
+
+        The triples are ``decompose_batch(path_addresses(leaf))`` — flat
+        bank index, channel, row per slot — valid for every DRAM model
+        built from this layout's config.  The native kernel fuses the two
+        steps without building the address list.
+        """
+        cached = self._triples.get(leaf)
+        if cached is None:
+            dram = self.dram
+            if _fastpath is not None:
+                triples = _fastpath.path_triples(
+                    leaf,
+                    self._level_meta,
+                    dram.row_blocks,
+                    dram.channels,
+                    dram.banks_per_channel,
+                )
+            else:
+                triples = decompose_addresses(dram, self.path_addresses(leaf))
+            cached = (triples, len(triples) // 3)
+            self._remember(self._triples, leaf, cached)
+        return cached
+
+    def _remember(self, memo: dict, leaf: int, value) -> None:
+        """Insert into a per-leaf memo, dropping its oldest entry (dicts
+        keep insertion order) when full, so hot leaves survive pressure
+        instead of being wiped with everything else."""
+        if len(memo) >= self.PATH_CACHE_LIMIT:
+            del memo[next(iter(memo))]
+        memo[leaf] = value
 
     def end_row(self) -> int:
         """First row beyond this layout's region."""
         return self.total_rows
-
-
-def path_positions(levels: int, leaf: int) -> Sequence[Tuple[int, int]]:
-    """The ``(level, position)`` pairs of the path to ``leaf`` (root first)."""
-    return [(level, leaf >> (levels - 1 - level)) for level in range(levels)]

@@ -138,11 +138,6 @@ class PathORAMController:
         #: when True, classify write-phase placements for Fig. 5
         self.track_migration = False
 
-        #: leaf -> (decomposed DRAM triples, block count) for one path;
-        #: plain integers (flat bank index, channel, row), valid for every
-        #: DRAM model built from the same config, so the table may be
-        #: shared across runs (see :meth:`adopt_artifacts`).
-        self._path_dram: dict = {}
         self._rebind_native()
         self._z_list = list(self.oram.z_per_level)
 
@@ -154,10 +149,6 @@ class PathORAMController:
         #: rebuilt lazily, invalidated whenever a referenced container is
         #: replaced (artifact adoption, unpickling).
         self._batch_ctx = None
-        #: per-leaf DRAM triples packed into the kernel's byte form;
-        #: filled lazily by the kernel (or eagerly by
-        #: :meth:`warm_path_caches`), reset whenever the layout changes.
-        self._packed_triples: dict = {}
 
         self.queue: Deque[Request] = deque()
         #: PosMap blocks evicted from the PLB whose re-insertion into the
@@ -207,7 +198,6 @@ class PathORAMController:
         state["_native"] = None
         state["_native_bulk"] = None
         state["_batch_ctx"] = None
-        state["_packed_triples"] = {}
         state["observer"] = None
         state["slot_observer"] = None
         return state
@@ -540,7 +530,7 @@ class PathORAMController:
         Returns ``(finish_read, start, removed_blocks)`` where
         ``removed_blocks`` are the real blocks pulled into the stash.
         """
-        triples, blocks = self._path_dram_triples(leaf)
+        triples, blocks = self.layout.path_triples(leaf)
         finish_read = self.dram.service_decomposed(triples, False, now)
 
         removed = self.tree.read_and_clear(leaf)
@@ -607,71 +597,36 @@ class PathORAMController:
             self.observer(record)
         return finish_read, now, removed
 
-    def adopt_artifacts(self, layout: TreeLayout, path_dram: dict) -> None:
-        """Adopt shared config-derived artifacts from an artifact cache.
+    def adopt_artifacts(self, layout: TreeLayout) -> None:
+        """Adopt the shared main-tree layout from an artifact cache.
 
-        ``layout`` and ``path_dram`` (the leaf -> decomposed-triples table)
-        are pure functions of the system config — the triples are plain
-        integer lists indexed by the flat bank scheme of
-        :meth:`~repro.mem.dram.DRAMModel.decompose_batch` — so adopting
-        them changes no simulated cycle or counter, only setup cost.
-        Called by :meth:`repro.perf.engine.ArtifactCache.attach` for plain
-        ``PathORAMController`` instances (subclasses lay out additional
-        trees at shifted base rows and keep private state).
+        The layout and its per-leaf memos are pure functions of the tree
+        geometry and DRAM config, so adopting one changes no simulated
+        cycle or counter, only setup cost.  Called by
+        :meth:`repro.perf.engine.ArtifactCache.attach` for every scheme.
         """
         self.layout = layout
-        self._path_dram = path_dram
-        # The batch context captures the triples table by reference, and
-        # the packed mirror was derived from the replaced table.
+        # The batch context captures the layout's memos by reference.
         self._batch_ctx = None
-        self._packed_triples = {}
-
-    def _path_dram_triples(self, leaf: int) -> Tuple[list, int]:
-        """Memoized ``(decomposed triples, block count)`` for one path."""
-        cached = self._path_dram.get(leaf)
-        if cached is None:
-            if _fastpath is not None:
-                dram_cfg = self.config.dram
-                triples = _fastpath.path_triples(
-                    leaf,
-                    self.layout._level_meta,
-                    dram_cfg.row_blocks,
-                    dram_cfg.channels,
-                    dram_cfg.banks_per_channel,
-                )
-                cached = (triples, len(triples) // 3)
-            else:
-                addresses = self.layout.path_addresses(leaf)
-                cached = (
-                    self.dram.decompose_batch(addresses),
-                    len(addresses),
-                )
-            if len(self._path_dram) >= ORAMTree.PATH_CACHE_LIMIT:
-                # FIFO eviction: drop the oldest entry (dicts preserve
-                # insertion order) so hot leaves survive cache pressure
-                # instead of being wiped with everything else.
-                self._path_dram.pop(next(iter(self._path_dram)))
-            self._path_dram[leaf] = cached
-        return cached
 
     def warm_path_caches(self, limit: Optional[int] = None) -> int:
         """Precompute the per-leaf memoization caches; returns leaves warmed.
 
         Fills the path-slot cache (:meth:`ORAMTree.path_slots`) and the
-        DRAM-triple cache (:meth:`_path_dram_triples`) for up to ``limit``
-        leaves (default: as many as fit under the cache cap).  This is
-        pure address-geometry work — no protocol state (stash, tree
-        contents, RNG, DRAM banks) is touched — so warming never changes
+        layout's DRAM-triple memos (:meth:`TreeLayout.path_triples` and
+        its packed form) for up to ``limit`` leaves (default: as many as
+        fit under the cache cap).  No protocol state (stash, tree
+        contents, RNG, DRAM banks) is touched, so warming never changes
         simulated cycles; it only moves the one-time decomposition cost
         out of latency-sensitive regions such as benchmark loops.
         """
         cap = ORAMTree.PATH_CACHE_LIMIT if limit is None else limit
         count = min(self.oram.leaves, cap)
         path_slots = self.tree.path_slots
-        triples = self._path_dram_triples
+        triples = self.layout.path_triples
         bulk = self._native_bulk
         pack = getattr(bulk, "pack_triples", None) if bulk else None
-        packed = self._packed_triples
+        packed = self.layout._packed
         n_banks = len(self.dram.bank_ready)
         n_channels = len(self.dram.bus_free)
         for leaf in range(count):
@@ -701,7 +656,7 @@ class PathORAMController:
         self, leaf: int, finish_read: int, path_type: PathType
     ) -> int:
         """The write phase's DRAM burst for an already-placed path."""
-        triples, blocks = self._path_dram_triples(leaf)
+        triples, blocks = self.layout.path_triples(leaf)
         finish_write = self.dram.service_decomposed(triples, True, finish_read)
         self.stats.counters[sk.MEM_BLOCKS_WRITTEN] += blocks
         self._emit_path_write(leaf, path_type, finish_read, finish_write,
@@ -1107,8 +1062,8 @@ class PathORAMController:
         return (
             self.rng.randrange,
             self.oram.leaves,
-            self._path_dram,
-            self._path_dram_triples,
+            self.layout._triples,
+            self.layout.path_triples,
             self.tree._path_slots_cache,
             self.tree.path_slots,
             stash._entries,
@@ -1138,8 +1093,8 @@ class PathORAMController:
             set_of,
             ways,
             # Kernel-maintained packed triple arrays (possibly pre-warmed
-            # by warm_path_caches); reset alongside the triples table.
-            self._packed_triples,
+            # by warm_path_caches), kept beside the layout's triples memo.
+            self.layout._packed,
             # Direct getrandbits leaf draws are only valid for plain
             # random.Random (the kernel inlines exactly its _randbelow
             # rejection loop); any subclass falls back to randrange.

@@ -103,7 +103,6 @@ class PyramidController(TwoTreeController):
             self._level_base.append(row_cursor * row_blocks)
             blocks = buckets * BUCKET_SLOTS
             row_cursor += -(-blocks // row_blocks)
-        self.pyramid_end_row = row_cursor
         #: every slot address of every level — the reshuffle burst
         self._region_addresses: List[int] = []
         for level, buckets in enumerate(level_buckets):

@@ -319,13 +319,9 @@ class RingController(TwoTreeController):
             read_slots.extend(
                 self.rng.sample(pad, RING_Z - len(read_slots))
             )
-            for slot in read_slots:
-                read_addresses.append(
-                    self.side_layout.slot_address(level, position, slot)
-                )
-            write_addresses.extend(
-                self.side_layout.bucket_addresses(level, position)
-            )
+            burst = self.side_layout.bucket_addresses(level, position)
+            read_addresses.extend(burst[slot] for slot in read_slots)
+            write_addresses.extend(burst)
             for index, block in enumerate(bucket.slots):
                 if block == EMPTY:
                     continue

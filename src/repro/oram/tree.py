@@ -56,6 +56,28 @@ class ORAMTree:
         #: references is safe.
         self._path_slots_cache: Dict[int, List[Tuple[int, List[int]]]] = {}
 
+    def __getstate__(self) -> dict:
+        """Pickle without the path-slot memo, and with empty buckets
+        untouched: :meth:`bucket` recreates them on first touch, so the
+        tree is the same and a checkpoint taken after
+        ``warm_path_caches`` (which touches every bucket on every path)
+        is no larger than a cold one."""
+        state = self.__dict__.copy()
+        state["_path_slots_cache"] = {}
+        if self._dense:
+            state["_buckets"] = [
+                None if slots is None or slots.count(EMPTY) == len(slots)
+                else slots
+                for slots in self._buckets
+            ]
+        else:
+            state["_sparse"] = {
+                index: slots
+                for index, slots in self._sparse.items()
+                if slots.count(EMPTY) != len(slots)
+            }
+        return state
+
     # -- bucket access -------------------------------------------------------
     @staticmethod
     def bucket_index(level: int, position: int) -> int:

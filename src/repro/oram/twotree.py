@@ -116,6 +116,8 @@ class TwoTreeController(PathORAMController):
         if side_oram is not None:
             self.side_stash = Stash(side_oram.stash_capacity, self.stats)
             self.side_leaves = 1 << (side_oram.levels - 1)
+            #: laid out right after the main tree; an artifact cache
+            #: swaps in its shared instance (ArtifactCache.attach)
             self.side_layout = TreeLayout(
                 side_oram, config.dram, base_row=self.layout.end_row()
             )

@@ -503,7 +503,7 @@ pool_item_cmp(const void *a, const void *b)
 #define FASTPATH_MAX_LEVELS 64
 
 /* Cap on the packed per-leaf triple cache inside a batch ctx; mirrors
- * ORAMTree.PATH_CACHE_LIMIT so both memo layers evict in step.
+ * TreeLayout.PATH_CACHE_LIMIT so both memo layers evict in step.
  */
 #define PACKED_CACHE_LIMIT (1 << 16)
 

@@ -2,9 +2,9 @@
 
 A naive process-pool fan-out pays three recurring costs on every sweep:
 worker processes re-import the scheme zoo per pool, every run re-derives
-the same config-dependent artifacts (subtree-layout tables, per-leaf DRAM
-triples, workload traces), and ``pool.map`` pre-chunks the points so one
-slow scheme can leave every other worker idle.  This module avoids them
+the same config-dependent artifacts (subtree layouts with their per-leaf
+DRAM triples, workload traces), and ``pool.map`` pre-chunks the points so
+one slow scheme can leave every other worker idle.  This module avoids them
 with three cooperating pieces:
 
 * **Warm pool** — one long-lived :class:`~concurrent.futures.\
@@ -15,17 +15,17 @@ with three cooperating pieces:
   the ``REPRO_*`` environment knobs change (forked workers snapshot the
   environment).
 
-* **Artifact cache** — a per-process :class:`ArtifactCache` keyed by
-  :meth:`repro.config.SystemConfig.fingerprint`.  It holds the subtree
-  layout (``level_meta`` + path-address cache), the per-leaf DRAM triple
-  tables, generated workload traces, and memoized Z-search outcomes.
-  Everything cached is a pure function of the config (and trace seed), so
-  injection never changes simulation results — the equivalence tests in
-  ``tests/test_engine.py`` assert bit-identical cycles and counters
-  against the serial loop.  Triple tables, traces, and Z-search outcomes
-  additionally persist under ``.repro_cache/`` (see :func:`cache_root`),
-  keyed by a salt over the generating source files so code changes
-  invalidate stale entries automatically.
+* **Artifact cache** — a per-process :class:`ArtifactCache`.  It holds
+  one :class:`~repro.mem.layout.TreeLayout` per tree geometry (shared by
+  every controller's main tree and by Rho's and Ring's side trees, with
+  the layout's per-leaf address and DRAM-triple memos), generated
+  workload traces, and memoized Z-search outcomes.  Everything cached is
+  a pure function of its key, so injection never changes simulation
+  results — the equivalence tests in ``tests/test_engine.py`` assert
+  bit-identical cycles and counters against the serial loop.  Traces and
+  Z-search outcomes additionally persist under ``.repro_cache/`` (see
+  :func:`cache_root`), keyed by a salt over the generating source files so
+  code changes invalidate stale entries automatically.
 
 * **Straggler-aware scheduling** — points are dispatched *individually*,
   longest-expected-first, with at most ``jobs`` in flight; per-scheme
@@ -59,7 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import options
 from .. import stats_keys as sk
-from ..config import ORAMConfig, SystemConfig
+from ..config import DRAMConfig, ORAMConfig, SystemConfig
 from ..errors import EngineFaultError
 from ..obs import events as ev
 
@@ -151,7 +151,7 @@ def code_salt() -> str:
 # the per-process artifact cache
 # ----------------------------------------------------------------------
 class ArtifactCache:
-    """Config-fingerprint-keyed artifacts shared across runs in a process.
+    """Config-derived artifacts shared across runs in a process.
 
     All values are pure functions of their keys, so sharing them between
     controllers (or loading them from disk) cannot change simulation
@@ -162,8 +162,7 @@ class ArtifactCache:
     def __init__(self, disk_dir: Optional[str] = None) -> None:
         self.disk_dir = disk_dir if disk_dir is not None else cache_root()
         self.counters: Dict[str, int] = {}
-        self._layouts: Dict[str, Any] = {}
-        self._triples: Dict[str, dict] = {}
+        self._layouts: Dict[Tuple, Any] = {}
         self._traces: Dict[Tuple, Any] = {}
         #: trace entries generated (not disk-loaded) since the last flush
         self._dirty_traces: set = set()
@@ -211,42 +210,33 @@ class ArtifactCache:
                 pass
 
     # -- layouts -----------------------------------------------------------
-    def layout_for(self, config: SystemConfig):
-        """The shared :class:`~repro.mem.layout.TreeLayout` for a config."""
+    def layout_for(
+        self, oram: ORAMConfig, dram: DRAMConfig, base_row: int = 0
+    ):
+        """The shared :class:`~repro.mem.layout.TreeLayout` of one tree.
+
+        Keyed by exactly what a layout reads — the tree's levels, Z
+        vector and cached top, the DRAM config, and the base row — so
+        every tree with that geometry gets the same object, and with it
+        the same per-leaf address and DRAM-triple memos.
+        """
         from ..mem.layout import TreeLayout
 
-        fp = config.fingerprint()
-        layout = self._layouts.get(fp)
+        key = (
+            oram.levels,
+            tuple(oram.z_per_level),
+            oram.top_cached_levels,
+            dram,
+            base_row,
+        )
+        layout = self._layouts.get(key)
         if layout is None:
             self._bump(sk.ENGINE_LAYOUT_MISSES)
-            layout = TreeLayout(config.oram, config.dram)
-            self._layouts[fp] = layout
+            layout = TreeLayout(oram, dram, base_row)
+            self._layouts[key] = layout
         else:
             self._bump(sk.ENGINE_LAYOUT_HITS)
         return layout
-
-    # -- per-leaf DRAM triple tables --------------------------------------
-    def triples_for(self, config: SystemConfig) -> dict:
-        """The shared ``leaf -> (triples, block_count)`` table for a config.
-
-        Misses fall back to the on-disk copy written by earlier processes;
-        a fresh (possibly pre-populated) dict is returned either way and
-        grows in place as the controller touches new leaves.
-        """
-        fp = config.fingerprint()
-        table = self._triples.get(fp)
-        if table is not None:
-            self._bump(sk.ENGINE_TRIPLES_HITS)
-            return table
-        loaded = self._disk_load("triples", f"{code_salt()}-{fp}")
-        if isinstance(loaded, dict) and loaded:
-            self._bump(sk.ENGINE_TRIPLES_DISK_HITS)
-            table = loaded
-        else:
-            self._bump(sk.ENGINE_TRIPLES_MISSES)
-            table = {}
-        self._triples[fp] = table
-        return table
 
     # -- workload traces ---------------------------------------------------
     def trace_for(
@@ -301,45 +291,33 @@ class ArtifactCache:
 
     # -- controller injection ---------------------------------------------
     def attach(self, controller) -> None:
-        """Inject shared artifacts into a freshly built controller.
+        """Hand a freshly built controller the shared tree layouts.
 
-        Only the plain :class:`~repro.oram.controller.PathORAMController`
-        participates: subclasses (Rho) lay their trees out at non-zero base
-        rows, so their triples must stay private.
+        Every scheme's main tree adopts the layout of its geometry; Rho's
+        and Ring's side trees, laid out right after it, share theirs the
+        same way.
         """
-        from ..oram.controller import PathORAMController
-
-        if type(controller) is not PathORAMController:
-            return
-        config = controller.config
-        controller.adopt_artifacts(
-            self.layout_for(config), self.triples_for(config)
-        )
+        dram = controller.config.dram
+        controller.adopt_artifacts(self.layout_for(controller.oram, dram))
+        side_oram = getattr(controller, "side_oram", None)
+        if side_oram is not None:
+            controller.side_layout = self.layout_for(
+                side_oram, dram, controller.layout.end_row()
+            )
 
     # -- persistence -------------------------------------------------------
     def flush(self) -> None:
-        """Persist triple tables and generated traces (merge with disk).
+        """Persist generated traces.
 
         Runs at process exit in every process that used the cache — in the
         parent via :mod:`atexit`, in pool workers via
         ``multiprocessing.util.Finalize`` (worker processes leave through
         ``os._exit`` and never run ``atexit`` handlers) — so the next
         *process* starts warm.  Concurrent flushes are safe: the values
-        are deterministic, writes are atomic replaces, and a table is
-        rewritten only when it holds more leaves than the disk copy.
+        are deterministic and writes are atomic replaces.
         """
         if not disk_cache_enabled():
             return
-        for fp, table in list(self._triples.items()):
-            if not table:
-                continue
-            key = f"{code_salt()}-{fp}"
-            existing = self._disk_load("triples", key)
-            if isinstance(existing, dict) and len(existing) >= len(table):
-                continue
-            merged = dict(existing) if isinstance(existing, dict) else {}
-            merged.update(table)
-            self._disk_store("triples", key, merged)
         for key, digest in list(self._dirty_traces):
             trace = self._traces.get(key)
             if trace is None:

@@ -124,6 +124,42 @@ class TestResumeMatchesGolden:
         assert out.stats.get("checkpoint.saves") > 0
 
 
+class TestCheckpointSize:
+    """Per-leaf memos (layout addresses and DRAM triples, tree path
+    slots) are rebuilt on demand and never cross a pickle."""
+
+    @pytest.mark.parametrize("scheme", ["Baseline", "Rho"])
+    def test_warm_controller_pickles_like_a_cold_one(self, scheme):
+        from repro.config import SystemConfig
+        from repro.core.schemes import build_scheme
+
+        controller = build_scheme(scheme, SystemConfig.scaled()).controller
+        cold = len(pickle.dumps(controller, pickle.HIGHEST_PROTOCOL))
+        assert controller.warm_path_caches() > 0
+        warm = len(pickle.dumps(controller, pickle.HIGHEST_PROTOCOL))
+        assert warm <= 1.1 * cold, (warm, cold)
+
+    def test_warm_round_trip_steps_identically(self):
+        import random
+
+        from repro.config import SystemConfig
+        from repro.core.schemes import build_scheme
+
+        original = build_scheme(
+            "IR-ORAM", SystemConfig.tiny(), rng=random.Random(3)
+        ).controller
+        original.warm_path_caches()
+        copy = pickle.loads(pickle.dumps(original))
+        outcomes = []
+        for controller in (original, copy):
+            issued, now, _ = controller.run_dummy_batch(0, 300)
+            outcomes.append(
+                (issued, now, dict(controller.stats.counters),
+                 controller.rng.getstate())
+            )
+        assert outcomes[0] == outcomes[1]
+
+
 class TestCheckpointFormat:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import DRAMConfig
-from repro.mem.dram import DRAMModel, batch_from_addresses
+from repro.mem.dram import DRAMModel
 from repro.mem.request import MemAccess
 from repro.stats import Stats
 
@@ -55,16 +55,14 @@ class TestTiming:
         assert second - first < third - second
 
     def test_row_hit_counters(self, dram):
-        dram.service_batch(batch_from_addresses([0, 1, 2, 3], False), 0)
+        dram.service_addresses([0, 1, 2, 3], False, 0)
         assert dram.stats.get("dram.row_hits") == 3
         assert dram.stats.get("dram.accesses") == 4
 
     def test_row_conflict_counted(self, dram):
         cfg = dram.config
         same_bank_stride = cfg.row_blocks * cfg.channels * cfg.banks_per_channel
-        dram.service_batch(
-            batch_from_addresses([0, same_bank_stride], False), 0
-        )
+        dram.service_addresses([0, same_bank_stride], False, 0)
         assert dram.stats.get("dram.row_conflicts") == 1
 
     def test_channel_parallelism(self, dram):
@@ -74,24 +72,20 @@ class TestTiming:
         parallel_addrs = [
             row * cfg.row_blocks for row in range(cfg.channels)
         ]
-        finish_parallel = dram.service_batch(
-            batch_from_addresses(parallel_addrs, False), 0
-        )
+        finish_parallel = dram.service_addresses(parallel_addrs, False, 0)
         dram2 = DRAMModel(cfg)
         stride = cfg.row_blocks * cfg.channels * cfg.banks_per_channel
         serial_addrs = [i * stride for i in range(cfg.channels)]
-        finish_serial = dram2.service_batch(
-            batch_from_addresses(serial_addrs, False), 0
-        )
+        finish_serial = dram2.service_addresses(serial_addrs, False, 0)
         assert finish_parallel < finish_serial
 
     def test_monotonic_completion(self, dram):
-        finish1 = dram.service_batch(batch_from_addresses([0, 1], False), 0)
-        finish2 = dram.service_batch(batch_from_addresses([2, 3], False), finish1)
+        finish1 = dram.service_addresses([0, 1], False, 0)
+        finish2 = dram.service_addresses([2, 3], False, finish1)
         assert finish2 >= finish1
 
     def test_start_cycle_respected(self, dram):
-        finish = dram.service_batch(batch_from_addresses([0], False), 1000)
+        finish = dram.service_addresses([0], False, 1000)
         assert finish > 1000
 
     def test_empty_batch(self, dram):
@@ -154,7 +148,9 @@ class TestTiming:
 
     def test_single_direction_batch_unchanged_by_mixed_path(self, dram):
         # A pure batch must not take the run-splitting path.
-        finish = dram.service_batch(batch_from_addresses([0, 1, 2], False), 0)
+        finish = dram.service_batch(
+            [MemAccess(addr, False) for addr in (0, 1, 2)], 0
+        )
         reference = DRAMModel(dram.config)
         assert finish == reference.service_addresses([0, 1, 2], False, 0)
 

@@ -2,16 +2,19 @@
 
 import json
 import os
+import random
 from concurrent.futures import BrokenExecutor, Future
 
 import pytest
 
 from repro import api
 from repro.config import SystemConfig
-from repro.core.schemes import build_scheme
+from repro.core.schemes import SCHEMES, build_scheme
+from repro.mem.layout import TreeLayout
 from repro.oram.controller import PathORAMController
-from repro.oram.tree import ORAMTree
 from repro.perf import engine
+from repro.sim.runner import make_workload
+from repro.sim.simulator import Simulator
 from repro.stats import Stats
 
 
@@ -113,8 +116,7 @@ class TestArtifactCache:
         api.run(spec, artifacts=cache)
         before = dict(cache.counters)
         api.run(spec, artifacts=cache)
-        for key in ("engine.trace_hits", "engine.layout_hits",
-                    "engine.triples_hits"):
+        for key in ("engine.trace_hits", "engine.layout_hits"):
             assert cache.counters[key] > before.get(key, 0)
 
     def test_disk_round_trip_warm_start(self):
@@ -123,8 +125,7 @@ class TestArtifactCache:
         engine.get_cache().flush()
         engine.reset()  # simulate a brand-new process, same cache dir
         warm = api.run_many(specs, jobs=1)
-        for key in ("engine.triples_disk_hits", "engine.trace_disk_hits"):
-            assert sum(out.stats.get(key) for out in warm) > 0
+        assert sum(out.stats.get("engine.trace_disk_hits") for out in warm)
         for a, b in zip(cold, warm):
             assert a.result.cycles == b.result.cycles
             assert a.result.counters == b.result.counters
@@ -134,7 +135,7 @@ class TestArtifactCache:
         api.run_many(_specs(["Baseline"]), jobs=1)
         engine.get_cache().flush()
         assert not os.path.exists(
-            os.path.join(engine.cache_root(), "triples")
+            os.path.join(engine.cache_root(), "traces")
         )
 
     def test_trace_reconstruction_identical(self):
@@ -151,48 +152,89 @@ class TestArtifactCache:
         assert list(reloaded.records) == list(first.records)
         assert list(reloaded.records) == list(direct.records)
 
-    def test_attach_skips_rho(self):
-        cache = engine.get_cache()
-        config = SystemConfig.tiny()
-        components = build_scheme("Rho", config, Stats())
-        controller = components.controller
-        layout_before = controller.layout
-        cache.attach(controller)
-        assert controller.layout is layout_before
-
     def test_attach_shares_layout_between_plain_controllers(self):
         cache = engine.get_cache()
         config = SystemConfig.tiny()
-        first = build_scheme("Baseline", config, Stats()).controller
-        second = build_scheme("LLC-D", config, Stats()).controller
-        cache.attach(first)
-        cache.attach(second)
-        assert first.layout is second.layout
-        assert first._path_dram is second._path_dram
+        controllers = {
+            scheme: build_scheme(scheme, config, Stats()).controller
+            for scheme in ("Baseline", "LLC-D", "Decoupled", "Rho",
+                           "Pyramid", "Ring", "Ring+IR-DWB")
+        }
+        for controller in controllers.values():
+            cache.attach(controller)
+        main = cache.layout_for(config.oram, config.dram)
+        assert all(c.layout is main for c in controllers.values())
+        ring = controllers["Ring"].side_layout
+        assert controllers["Ring+IR-DWB"].side_layout is ring
+        assert controllers["Rho"].side_layout is not ring
+        assert ring.base_row == main.end_row()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_attach_shares_layouts_across_the_zoo(self, scheme):
+        """Every scheme adopts the shared layouts of a cache another scheme
+        already warmed, and simulates exactly what a cold run does."""
+        cache = engine.get_cache()
+        config = SystemConfig.tiny()
+        warmer = "Rho" if scheme == "Baseline" else "Baseline"
+        api.run(
+            api.RunSpec(scheme=warmer, workload="mix", records=200,
+                        config=config),
+            artifacts=cache,
+        )
+        warmed = cache.layout_for(config.oram, config.dram)
+        assert warmed._triples
+        trace = make_workload("mix", config, 200, 7)
+
+        def point(attach):
+            components = build_scheme(
+                scheme, config, Stats(), random.Random(7)
+            )
+            if attach:
+                cache.attach(components.controller)
+            result = Simulator(components, trace).run()
+            return components.controller, result
+
+        _, fresh = point(attach=False)
+        controller, shared = point(attach=True)
+        assert shared.cycles == fresh.cycles
+        assert shared.counters == fresh.counters
+        oram = controller.oram
+        assert controller.layout is cache.layout_for(oram, config.dram)
+        if (oram.z_per_level, oram.top_cached_levels) == (
+            config.oram.z_per_level, config.oram.top_cached_levels
+        ):
+            assert controller.layout is warmed
+        side = getattr(controller, "side_oram", None)
+        if side is not None:
+            assert controller.side_layout is cache.layout_for(
+                side, config.dram, warmed.end_row()
+            )
 
 
 class TestPathDramFifo:
+    """The per-leaf DRAM-triple memo lives on the (shared) layout."""
+
     def test_fifo_evicts_oldest_not_everything(self, monkeypatch):
-        monkeypatch.setattr(ORAMTree, "PATH_CACHE_LIMIT", 3)
-        controller = PathORAMController(SystemConfig.tiny())
-        controller._path_dram.clear()
+        monkeypatch.setattr(TreeLayout, "PATH_CACHE_LIMIT", 3)
+        layout = PathORAMController(SystemConfig.tiny()).layout
+        layout._triples.clear()
         for leaf in (0, 1, 2):
-            controller._path_dram_triples(leaf)
-        assert sorted(controller._path_dram) == [0, 1, 2]
-        controller._path_dram_triples(3)  # evicts leaf 0 only
-        assert sorted(controller._path_dram) == [1, 2, 3]
-        controller._path_dram_triples(4)  # evicts leaf 1 only
-        assert sorted(controller._path_dram) == [2, 3, 4]
+            layout.path_triples(leaf)
+        assert sorted(layout._triples) == [0, 1, 2]
+        layout.path_triples(3)  # evicts leaf 0 only
+        assert sorted(layout._triples) == [1, 2, 3]
+        layout.path_triples(4)  # evicts leaf 1 only
+        assert sorted(layout._triples) == [2, 3, 4]
 
     def test_reinserted_leaf_yields_same_triples(self, monkeypatch):
-        monkeypatch.setattr(ORAMTree, "PATH_CACHE_LIMIT", 2)
-        controller = PathORAMController(SystemConfig.tiny())
-        controller._path_dram.clear()
-        original = controller._path_dram_triples(0)
-        controller._path_dram_triples(1)
-        controller._path_dram_triples(2)  # leaf 0 falls out
-        assert 0 not in controller._path_dram
-        assert controller._path_dram_triples(0) == original
+        monkeypatch.setattr(TreeLayout, "PATH_CACHE_LIMIT", 2)
+        layout = PathORAMController(SystemConfig.tiny()).layout
+        layout._triples.clear()
+        original = layout.path_triples(0)
+        layout.path_triples(1)
+        layout.path_triples(2)  # leaf 0 falls out
+        assert 0 not in layout._triples
+        assert layout.path_triples(0) == original
 
 
 class TestZSearchCache:

@@ -14,7 +14,7 @@ from repro.errors import (
     StashOverflowError,
     TraceError,
 )
-from repro.mem.dram import DRAMModel, batch_from_addresses
+from repro.mem.dram import DRAMModel
 from repro.mem.layout import TreeLayout
 from repro.oram.treetop import TreeTopCache
 from repro.oram.types import PathAccessRecord, PathType
@@ -83,11 +83,6 @@ class TestLayoutEdgeCases:
 
 
 class TestDRAMHelpers:
-    def test_batch_from_addresses(self):
-        batch = batch_from_addresses([1, 2], True)
-        assert all(access.is_write for access in batch)
-        assert [access.phys_block for access in batch] == [1, 2]
-
     def test_access_latency_single(self):
         dram = DRAMModel(DRAMConfig())
         from repro.mem.request import MemAccess

@@ -89,17 +89,17 @@ class TestControllerFallbacks:
     @pytest.mark.skipif(native.fastpath is None,
                         reason="native kernels unavailable")
     def test_python_triples_branch_identical(self, monkeypatch):
-        import repro.oram.controller as controller_mod
+        import repro.mem.layout as layout_mod
 
         config = SystemConfig.tiny()
         fast = PathORAMController(config, rng=random.Random(5))
         native_triples = {
-            leaf: fast._path_dram_triples(leaf) for leaf in range(8)
+            leaf: fast.layout.path_triples(leaf) for leaf in range(8)
         }
-        monkeypatch.setattr(controller_mod, "_fastpath", None)
+        monkeypatch.setattr(layout_mod, "_fastpath", None)
         slow = PathORAMController(config, rng=random.Random(5))
         for leaf, expected in native_triples.items():
-            triples, blocks = slow._path_dram_triples(leaf)
+            triples, blocks = slow.layout.path_triples(leaf)
             assert list(triples) == list(expected[0])
             assert blocks == expected[1]
 
