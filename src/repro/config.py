@@ -28,6 +28,10 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError
 
+#: Largest slot, block or leaf count a tree can have: tree slots and
+#: leaf assignments are int32 arrays (ORAMTree.slots, PositionMap._leaf_of).
+INT32_MAX = 2**31 - 1
+
 #: Number of position-map entries packed into one ORAM block.  With 64-byte
 #: blocks and 4-byte entries this is 16, as in Freecursive.
 def posmap_fanout(block_bytes: int, entry_bytes: int) -> int:
@@ -90,6 +94,12 @@ class ORAMConfig:
             raise ConfigError(
                 f"tree with {self.tree_slots()} slots cannot hold "
                 f"{self.total_blocks()} blocks"
+            )
+        largest = max(self.tree_slots(), self.total_blocks(), self.leaves)
+        if largest > INT32_MAX:
+            raise ConfigError(
+                f"geometry needs {largest} slots, blocks or leaves; "
+                f"the tree stores at most {INT32_MAX}"
             )
 
     # -- construction helpers ---------------------------------------------

@@ -139,13 +139,12 @@ class PathORAMController:
         self.track_migration = False
 
         self._rebind_native()
-        self._z_list = list(self.oram.z_per_level)
 
         #: ``engine.batch.*`` bookkeeping for :meth:`run_dummy_batch`
         #: (calls, paths, per-phase nanoseconds); surfaced through the
         #: stats snapshot by the API layer after the run completes.
         self.batch_counters: dict = {}
-        #: cached 29-slot context tuple handed to the native batch kernel;
+        #: cached 26-slot context tuple handed to the native batch kernel;
         #: rebuilt lazily, invalidated whenever a referenced container is
         #: replaced (artifact adoption, unpickling).
         self._batch_ctx = None
@@ -171,16 +170,9 @@ class PathORAMController:
         unpickling: the kernel module is process-local state that cannot
         cross a checkpoint, so :meth:`__setstate__` rebinds it here.
         """
-        self._native_bulk = (
-            _fastpath
-            if _fastpath is not None and self.oram.levels < 64
-            else None
-        )
+        self._native_bulk = _fastpath
         self._native = (
-            self._native_bulk
-            if self._native_bulk is not None
-            and type(self.treetop) is TreeTopCache
-            else None
+            _fastpath if type(self.treetop) is TreeTopCache else None
         )
 
     # ------------------------------------------------------------------
@@ -215,12 +207,12 @@ class PathORAMController:
         for block in overflow:
             self.stash.add(block, self.posmap.leaf_of(block))
         # Mirror top-level residency into the tree-top structure.
-        top_levels = self.oram.top_cached_levels
-        for level in range(top_levels):
-            for position in range(1 << level):
-                for block in self.tree.bucket(level, position):
-                    if block != EMPTY:
-                        self.treetop.on_place(block)
+        tree = self.tree
+        for level in range(self.oram.top_cached_levels):
+            start = tree.level_base[level]
+            for block in tree.slots[start:start + tree.level_slots[level]]:
+                if block != EMPTY:
+                    self.treetop.on_place(block)
         self.stats.set(sk.INIT_OVERFLOW_BLOCKS, len(overflow))
 
     # ------------------------------------------------------------------
@@ -392,14 +384,10 @@ class PathORAMController:
 
     def _find_in_treetop(self, block: int, leaf: int) -> Optional[Tuple[int, int]]:
         """Locate ``block`` in the cached-top portion of its path."""
-        top = self.oram.top_cached_levels
-        shift = self.oram.levels - 1
-        for level, slots in self.tree.path_slots(leaf):
-            if level >= top:
-                break
-            if block in slots:
-                return level, leaf >> (shift - level)
-        return None
+        level = self.tree.find(block, leaf, self.oram.top_cached_levels)
+        if level is None:
+            return None
+        return level, self.tree.path_position(leaf, level)
 
     def _remove_from_treetop(self, block: int) -> None:
         """Drop a block from whatever top-level bucket holds it (LLC-D)."""
@@ -407,10 +395,7 @@ class PathORAMController:
         location = self._find_in_treetop(block, leaf)
         if location is None:
             raise ProtocolError(f"block {block} vanished from tree top")
-        level, position = location
-        slots = self.tree.bucket(level, position)
-        slots[slots.index(block)] = EMPTY
-        self.tree.level_used[level] -= 1
+        self.tree.remove(*location, block)
         self.treetop.on_remove(block)
 
     def _finish_reinsert(self, request: Request, now: int) -> None:
@@ -499,10 +484,7 @@ class PathORAMController:
         location = self._find_in_treetop(pm_block, leaf)
         if location is None:
             return
-        level, position = location
-        slots = self.tree.bucket(level, position)
-        slots[slots.index(pm_block)] = EMPTY
-        self.tree.level_used[level] -= 1
+        self.tree.remove(*location, pm_block)
         self.treetop.on_remove(pm_block)
         self.posmap.discard(pm_block)
         self._fill_plb(pm_block)
@@ -612,17 +594,16 @@ class PathORAMController:
     def warm_path_caches(self, limit: Optional[int] = None) -> int:
         """Precompute the per-leaf memoization caches; returns leaves warmed.
 
-        Fills the path-slot cache (:meth:`ORAMTree.path_slots`) and the
-        layout's DRAM-triple memos (:meth:`TreeLayout.path_triples` and
-        its packed form) for up to ``limit`` leaves (default: as many as
-        fit under the cache cap).  No protocol state (stash, tree
-        contents, RNG, DRAM banks) is touched, so warming never changes
-        simulated cycles; it only moves the one-time decomposition cost
-        out of latency-sensitive regions such as benchmark loops.
+        Fills the layout's DRAM-triple memos
+        (:meth:`TreeLayout.path_triples` and its packed form) for up to
+        ``limit`` leaves (default: as many as fit under the cache cap).
+        No protocol state (stash, tree contents, RNG, DRAM banks) is
+        touched, so warming never changes simulated cycles; it only moves
+        the one-time decomposition cost out of latency-sensitive regions
+        such as benchmark loops.
         """
-        cap = ORAMTree.PATH_CACHE_LIMIT if limit is None else limit
+        cap = self.layout.PATH_CACHE_LIMIT if limit is None else limit
         count = min(self.oram.leaves, cap)
-        path_slots = self.tree.path_slots
         triples = self.layout.path_triples
         bulk = self._native_bulk
         pack = getattr(bulk, "pack_triples", None) if bulk else None
@@ -630,7 +611,6 @@ class PathORAMController:
         n_banks = len(self.dram.bank_ready)
         n_channels = len(self.dram.bus_free)
         for leaf in range(count):
-            path_slots(leaf)
             entry = triples(leaf)
             if pack is not None and leaf not in packed:
                 packed[leaf] = pack(entry, n_banks, n_channels)
@@ -679,8 +659,6 @@ class PathORAMController:
         stash_remove = self.stash.remove
         treetop = self.treetop
         stats = self.stats
-        z_per_level = oram.z_per_level
-        level_used = tree.level_used
         track = self.track_migration and preexisting is not None
 
         if self._native is not None and not track:
@@ -693,12 +671,10 @@ class PathORAMController:
                     stash._by_prefix,
                     stash._prefix_shift,
                     stash._prefix_levels,
-                    tree.path_slots(leaf),
-                    self._z_list,
-                    level_used,
-                    levels,
+                    tree.slots,
+                    oram.z_per_level,
+                    tree.level_used,
                     top,
-                    EMPTY,
                 )
             except RuntimeError as exc:
                 raise ProtocolError(str(exc)) from None
@@ -706,21 +682,16 @@ class PathORAMController:
                 stats.counters[sk.TREETOP_PLACED] += top_placed
             return
 
-        path_slots = tree.path_slots(leaf)
-        slot_idx = len(path_slots) - 1
         pools = self.stash.path_pools(leaf)
         pool: List[int] = []
         for level in range(levels - 1, -1, -1):
             sub = pools[level]
             if sub:
                 pool.extend(sub)
-            z = z_per_level[level]
-            if z == 0:
+            z = oram.z_per_level[level]
+            if z == 0 or not pool:
                 continue
-            slots = path_slots[slot_idx][1]
-            slot_idx -= 1
-            if not pool:
-                continue
+            position = tree.path_position(leaf, level)
             gated = level < top
             rejected: Optional[List[int]] = None
             placed = 0
@@ -732,14 +703,8 @@ class PathORAMController:
                     rejected.append(block)
                     stats.inc(sk.SSTASH_PLACEMENT_SKIPS)
                     continue
-                try:
-                    free = slots.index(EMPTY)
-                except ValueError:
-                    raise ProtocolError(
-                        "bucket full during write phase"
-                    ) from None
-                slots[free] = block
-                level_used[level] += 1
+                if not tree.place(level, position, block):
+                    raise ProtocolError("bucket full during write phase")
                 if gated:
                     treetop.on_place(block)
                 stash_remove(block)
@@ -1010,7 +975,7 @@ class PathORAMController:
     def _dummy_slot(self, now: int) -> Optional[SlotResult]:
         """Fill an empty issue slot: IR-DWB conversion if possible, else dummy."""
         if self.dwb is not None:
-            converted = self.dwb.dummy_slot(now)
+            converted = self.dwb.dummy_slot(self, now)
             if converted is not None:
                 self.stats.inc(sk.DWB_CONVERTED_SLOTS)
                 return converted
@@ -1064,19 +1029,16 @@ class PathORAMController:
             self.oram.leaves,
             self.layout._triples,
             self.layout.path_triples,
-            self.tree._path_slots_cache,
-            self.tree.path_slots,
+            self.tree.slots,
             stash._entries,
             stash._seq,
             stash._by_prefix,
             stash._prefix_shift,
             stash._prefix_levels,
             self.posmap._leaf_of,
-            self._z_list,
+            self.oram.z_per_level,
             self.tree.level_used,
-            self.oram.levels,
             self.oram.top_cached_levels,
-            EMPTY,
             self.dram.bank_ready,
             self.dram.bank_open_row,
             self.dram.bus_free,

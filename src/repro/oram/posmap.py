@@ -14,7 +14,7 @@ re-established when the LLC evicts it.
 from __future__ import annotations
 
 import random
-from typing import List
+from array import array
 
 from ..errors import ProtocolError
 from ..perf.native import fastpath as _native
@@ -25,7 +25,11 @@ UNMAPPED = -1
 
 
 class PositionMap:
-    """Leaf assignments plus remap bookkeeping."""
+    """Leaf assignments plus remap bookkeeping.
+
+    ``_leaf_of`` is one ``array('i')`` indexed by block, shared by
+    reference with the C kernels.
+    """
 
     def __init__(self, namespace: Namespace, leaves: int, rng: random.Random) -> None:
         self.namespace = namespace
@@ -34,11 +38,12 @@ class PositionMap:
         count = namespace.total_blocks
         if _native is not None and type(rng) is random.Random:
             # Same getrandbits bit stream as randrange (plain Random only).
-            self._leaf_of: List[int] = _native.posmap_leaves(
-                rng.getrandbits, leaves, count
-            )
+            self._leaf_of = array("i", [UNMAPPED]) * count
+            _native.posmap_leaves(rng.getrandbits, leaves, self._leaf_of)
         else:
-            self._leaf_of = [rng.randrange(leaves) for _ in range(count)]
+            self._leaf_of = array(
+                "i", [rng.randrange(leaves) for _ in range(count)]
+            )
         self.remap_count = 0
 
     def leaf_of(self, block: int) -> int:

@@ -97,13 +97,13 @@ class RhoController(TwoTreeController):
         new_leaf: Optional[int] = None,
     ) -> SlotResult:
         """One full small-tree path access (read + greedy write)."""
-        addresses = self.side_layout.path_addresses(leaf)
         return self._tree_burst(
-            leaf, path_type, now, addresses, addresses,
+            leaf, path_type, now, None, None,
             after_read=lambda: self._small_read_phase(
                 leaf, target, extract, new_leaf
             ),
             before_write=lambda: self._small_write_phase(leaf),
+            path_layout=self.side_layout,
         )
 
     def _small_read_phase(

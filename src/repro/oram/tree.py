@@ -12,6 +12,7 @@ meaning the level holds no memory-backed slots at all.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import ORAMConfig
@@ -25,16 +26,18 @@ EMPTY = -1
 class ORAMTree:
     """Binary tree of buckets addressed by ``(level, position)``.
 
-    Buckets are stored in heap order (``index = (1 << level) - 1 + pos``)
-    in a dense list for trees up to :data:`DENSE_LEVEL_LIMIT` levels and in
-    a lazily populated dict beyond that (so paper-scale L=25 configurations
-    remain constructible).
+    Every slot of the tree lives in one flat ``array('i')``, ``slots``,
+    with :data:`EMPTY` marking a free slot — the array of Z-slot buckets
+    the paper's controller (Section II-B) addresses.  Levels are stored
+    root first, and each level's buckets left to right, so bucket
+    ``(level, position)`` occupies the ``z_per_level[level]`` slots from
+    ``level_base[level] + position * z_per_level[level]``; a Z=0 level
+    takes no room.  The C kernels read and write the same buffer.
+
+    ``level_used`` counts the real blocks per level.  The tree's methods
+    are the only Python code that writes ``slots`` or ``level_used``;
+    :meth:`bucket` and the iterators hand out copies.
     """
-
-    DENSE_LEVEL_LIMIT = 21
-
-    #: paths whose (level, slots) sequences are memoized at once
-    PATH_CACHE_LIMIT = 1 << 16
 
     def __init__(self, config: ORAMConfig) -> None:
         self.config = config
@@ -44,63 +47,40 @@ class ORAMTree:
         self.level_slots: List[int] = [
             z << level for level, z in enumerate(self.z_per_level)
         ]
-        self._dense = self.levels <= self.DENSE_LEVEL_LIMIT
-        if self._dense:
-            self._buckets: List[Optional[List[int]]] = [None] * (
-                (1 << self.levels) - 1
-            )
-        else:
-            self._sparse: Dict[int, List[int]] = {}
-        #: leaf -> [(level, slots), ...] for z>0 levels.  Slot lists are
-        #: created once and only ever mutated in place, so caching the
-        #: references is safe.
-        self._path_slots_cache: Dict[int, List[Tuple[int, List[int]]]] = {}
-
-    def __getstate__(self) -> dict:
-        """Pickle without the path-slot memo, and with empty buckets
-        untouched: :meth:`bucket` recreates them on first touch, so the
-        tree is the same and a checkpoint taken after
-        ``warm_path_caches`` (which touches every bucket on every path)
-        is no larger than a cold one."""
-        state = self.__dict__.copy()
-        state["_path_slots_cache"] = {}
-        if self._dense:
-            state["_buckets"] = [
-                None if slots is None or slots.count(EMPTY) == len(slots)
-                else slots
-                for slots in self._buckets
-            ]
-        else:
-            state["_sparse"] = {
-                index: slots
-                for index, slots in self._sparse.items()
-                if slots.count(EMPTY) != len(slots)
-            }
-        return state
+        self.level_base: List[int] = []
+        total = 0
+        for count in self.level_slots:
+            self.level_base.append(total)
+            total += count
+        self.slots = array("i", [EMPTY]) * total
+        shift = self.levels - 1
+        #: ``(level, level_base, z, leaf shift)`` of every Z>0 level, root
+        #: first: a path's bucket at ``level`` starts at
+        #: ``level_base + (leaf >> shift) * z``
+        self._path_levels: Tuple[Tuple[int, int, int, int], ...] = tuple(
+            (level, self.level_base[level], z, shift - level)
+            for level, z in enumerate(self.z_per_level)
+            if z
+        )
 
     # -- bucket access -------------------------------------------------------
     @staticmethod
     def bucket_index(level: int, position: int) -> int:
+        """Heap-order index of a bucket (root 0, then level by level)."""
         return (1 << level) - 1 + position
 
-    def bucket(self, level: int, position: int) -> List[int]:
-        """The slot array of one bucket (created empty on first touch)."""
+    def bucket_offset(self, level: int, position: int) -> int:
+        """Index in :attr:`slots` of the first slot of a bucket."""
         if not 0 <= level < self.levels:
             raise ProtocolError(f"level {level} out of range")
         if not 0 <= position < (1 << level):
             raise ProtocolError(f"position {position} invalid at level {level}")
-        index = self.bucket_index(level, position)
-        if self._dense:
-            slots = self._buckets[index]
-            if slots is None:
-                slots = [EMPTY] * self.z_per_level[level]
-                self._buckets[index] = slots
-            return slots
-        slots = self._sparse.get(index)
-        if slots is None:
-            slots = [EMPTY] * self.z_per_level[level]
-            self._sparse[index] = slots
-        return slots
+        return self.level_base[level] + position * self.z_per_level[level]
+
+    def bucket(self, level: int, position: int) -> List[int]:
+        """A copy of one bucket's slots."""
+        start = self.bucket_offset(level, position)
+        return self.slots[start:start + self.z_per_level[level]].tolist()
 
     # -- path geometry ----------------------------------------------------------
     def path_position(self, leaf: int, level: int) -> int:
@@ -117,68 +97,52 @@ class ORAMTree:
             yield level, position, self.bucket(level, position)
 
     def iter_buckets(self) -> Iterable[Tuple[int, int, List[int]]]:
-        """Yield ``(level, position, slots)`` for every materialized bucket.
-
-        A bucket that was never touched holds no real blocks, so this
-        covers every resident block without materializing the rest of the
-        tree — safe at paper scale (L=25), where the conformance auditor
-        sweeps the tree during live runs.
-        """
-        if self._dense:
-            entries: Iterable[Tuple[int, List[int]]] = (
-                (index, slots)
-                for index, slots in enumerate(self._buckets)
-                if slots is not None
-            )
-        else:
-            entries = self._sparse.items()
-        for index, slots in entries:
-            level = (index + 1).bit_length() - 1
-            yield level, index - ((1 << level) - 1), slots
+        """Yield ``(level, position, slots)`` for every bucket of a Z>0
+        level, root first."""
+        slots = self.slots
+        for level, z in enumerate(self.z_per_level):
+            if z == 0:
+                continue
+            start = self.level_base[level]
+            for position in range(1 << level):
+                yield level, position, slots[start:start + z].tolist()
+                start += z
 
     def deepest_common_level(self, leaf_a: int, leaf_b: int) -> int:
         """Deepest level shared by the paths to two leaves (0 = root only)."""
         xor = leaf_a ^ leaf_b
         return (self.levels - 1) - xor.bit_length()
 
-    def path_slots(self, leaf: int) -> List[Tuple[int, List[int]]]:
-        """Memoized ``(level, slots)`` pairs of a path's z>0 buckets."""
-        cached = self._path_slots_cache.get(leaf)
-        if cached is not None:
-            return cached
-        shift = self.levels - 1
-        pairs = [
-            (level, self.bucket(level, leaf >> (shift - level)))
-            for level in range(self.levels)
-            if self.z_per_level[level] != 0
-        ]
-        if len(self._path_slots_cache) >= self.PATH_CACHE_LIMIT:
-            self._path_slots_cache.clear()
-        self._path_slots_cache[leaf] = pairs
-        return pairs
+    def find(self, block: int, leaf: int, below: int) -> Optional[int]:
+        """The level above ``below`` whose bucket on the path to ``leaf``
+        holds ``block``, or None."""
+        slots = self.slots
+        for level, base, z, shift in self._path_levels:
+            if level >= below:
+                break
+            start = base + (leaf >> shift) * z
+            if block in slots[start:start + z]:
+                return level
+        return None
 
     # -- slot mutation -----------------------------------------------------------
-    def read_and_clear(
-        self, leaf: int, from_level: int = 0
-    ) -> List[Tuple[int, int]]:
+    def read_and_clear(self, leaf: int) -> List[Tuple[int, int]]:
         """Remove every real block on a path; return ``(block, level)`` pairs.
 
         This is the read phase of a path access: every slot is fetched, real
         blocks go to the caller (the stash), dummies are discarded.
         """
-        if from_level == 0:
-            pairs = self.path_slots(leaf)
-        else:
-            pairs = [
-                (level, slots)
-                for level, _, slots in self.path_buckets(leaf, from_level)
-            ]
         if _native is not None:
-            return _native.read_and_clear(pairs, self.level_used, EMPTY)
+            return _native.read_and_clear(
+                self.slots, self.z_per_level, self.level_used, leaf
+            )
         removed: List[Tuple[int, int]] = []
+        slots = self.slots
         level_used = self.level_used
-        for level, slots in pairs:
-            for i, block in enumerate(slots):
+        for level, base, z, shift in self._path_levels:
+            start = base + (leaf >> shift) * z
+            for i in range(start, start + z):
+                block = slots[i]
                 if block != EMPTY:
                     removed.append((block, level))
                     slots[i] = EMPTY
@@ -187,17 +151,33 @@ class ORAMTree:
 
     def place(self, level: int, position: int, block: int) -> bool:
         """Put ``block`` into the first free slot of a bucket, if any."""
-        slots = self.bucket(level, position)
-        for i, occupant in enumerate(slots):
-            if occupant == EMPTY:
-                slots[i] = block
-                self.level_used[level] += 1
-                return True
-        return False
+        start = self.bucket_offset(level, position)
+        try:
+            index = self.slots.index(
+                EMPTY, start, start + self.z_per_level[level]
+            )
+        except ValueError:
+            return False
+        self.slots[index] = block
+        self.level_used[level] += 1
+        return True
+
+    def remove(self, level: int, position: int, block: int) -> None:
+        """Take ``block`` out of a bucket (it must be there)."""
+        start = self.bucket_offset(level, position)
+        try:
+            index = self.slots.index(
+                block, start, start + self.z_per_level[level]
+            )
+        except ValueError:
+            raise ProtocolError(
+                f"block {block} not in bucket ({level}, {position})"
+            ) from None
+        self.slots[index] = EMPTY
+        self.level_used[level] -= 1
 
     def free_slots(self, level: int, position: int) -> int:
-        slots = self.bucket(level, position)
-        return sum(1 for occupant in slots if occupant == EMPTY)
+        return self.bucket(level, position).count(EMPTY)
 
     # -- occupancy queries ----------------------------------------------------------
     def level_utilization(self) -> List[float]:
@@ -210,9 +190,7 @@ class ORAMTree:
     def total_used(self) -> int:
         return sum(self.level_used)
 
-    def initialize(
-        self, leaf_table: List[int], rng: random.Random
-    ) -> List[int]:
+    def initialize(self, leaf_table: array, rng: random.Random) -> List[int]:
         """Place blocks ``0..len(leaf_table)-1`` bottom-up along their paths.
 
         ``leaf_table[block]`` is the block's assigned leaf.  Blocks whose
@@ -222,47 +200,33 @@ class ORAMTree:
         """
         if self.total_used():
             raise ProtocolError("initialize needs an empty tree")
-        if _native is not None and self._dense and type(rng) is random.Random:
+        if _native is not None and type(rng) is random.Random:
             # Same getrandbits bit stream as rng.shuffle (plain Random
             # only), same placement as the loop below.
             return _native.tree_init(
-                rng.getrandbits, leaf_table, self._buckets,
-                self.z_per_level, self.level_used, EMPTY,
+                rng.getrandbits, leaf_table, self.slots, self.z_per_level,
+                self.level_used,
             )
         block_list = list(range(len(leaf_table)))
         rng.shuffle(block_list)
         # Placement into a fresh tree only ever fills the first empty slot
         # of each bucket, so per-bucket fill counters stand in for slot
-        # scans; buckets materialize once at the end.
-        levels = self.levels
-        shift = levels - 1
-        z_per_level = self.z_per_level
+        # scans.
+        slots = self.slots
         level_used = self.level_used
+        deepest_first = self._path_levels[::-1]
         overflow: List[int] = []
         fill: Dict[int, int] = {}
-        pending: Dict[int, List[int]] = {}
-        active_levels = [
-            level for level in range(levels - 1, -1, -1)
-            if z_per_level[level] != 0
-        ]
         for block in block_list:
             leaf = leaf_table[block]
-            for level in active_levels:
-                index = (1 << level) - 1 + (leaf >> (shift - level))
-                count = fill.get(index, 0)
-                if count < z_per_level[level]:
-                    fill[index] = count + 1
-                    bucket_blocks = pending.get(index)
-                    if bucket_blocks is None:
-                        pending[index] = bucket_blocks = []
-                    bucket_blocks.append(block)
+            for level, base, z, shift in deepest_first:
+                start = base + (leaf >> shift) * z
+                count = fill.get(start, 0)
+                if count < z:
+                    fill[start] = count + 1
+                    slots[start + count] = block
                     level_used[level] += 1
                     break
             else:
                 overflow.append(block)
-        for index, bucket_blocks in pending.items():
-            level = (index + 1).bit_length() - 1
-            position = index - ((1 << level) - 1)
-            slots = self.bucket(level, position)
-            slots[: len(bucket_blocks)] = bucket_blocks
         return overflow

@@ -397,10 +397,11 @@ class TwoTreeController(PathORAMController):
         leaf: int,
         path_type: PathType,
         now: int,
-        read_addresses: Sequence[int],
-        write_addresses: Sequence[int],
+        read_addresses: Optional[Sequence[int]],
+        write_addresses: Optional[Sequence[int]],
         after_read: Optional[Callable[[], None]] = None,
         before_write: Optional[Callable[[], None]] = None,
+        path_layout: Optional[TreeLayout] = None,
     ) -> SlotResult:
         """One read+write DRAM burst on the side structure.
 
@@ -410,8 +411,22 @@ class TwoTreeController(PathORAMController):
         emits ``PATH_READ`` tagged ``tree=``, reports to the observer, runs
         ``before_write`` (placement), then services the write burst with
         its ``PATH_WRITE`` event; an empty ``write_addresses`` skips it.
+
+        With ``path_layout`` (and no address lists) the burst is the whole
+        path to ``leaf`` in that layout, read and then written back: it is
+        serviced from the layout's memoized DRAM triples, and the
+        cleartext addresses are built only for an attached observer.
         """
-        finish_read = self.dram.service_addresses(read_addresses, False, now)
+        dram = self.dram
+        if path_layout is not None:
+            read_triples, read_blocks = path_layout.path_triples(leaf)
+            write_triples, write_blocks = read_triples, read_blocks
+        else:
+            read_triples = dram.decompose_batch(read_addresses)
+            read_blocks = len(read_addresses)
+            write_triples = dram.decompose_batch(write_addresses)
+            write_blocks = len(write_addresses)
+        finish_read = dram.service_decomposed(read_triples, False, now)
         if after_read is not None:
             after_read()
         self.path_count += 1
@@ -420,7 +435,7 @@ class TwoTreeController(PathORAMController):
         stats.inc(sk.paths_key(path_type))
         stats.inc(sk.PATHS_TOTAL)
         stats.inc(self.KEYS.paths)
-        stats.inc(sk.MEM_BLOCKS_READ, len(read_addresses))
+        stats.inc(sk.MEM_BLOCKS_READ, read_blocks)
         tracer = stats.tracer
         if tracer is not None:
             tracer.emit(
@@ -429,10 +444,14 @@ class TwoTreeController(PathORAMController):
                 path_type=path_type.value,
                 leaf=leaf,
                 finish=finish_read,
-                blocks=len(read_addresses),
+                blocks=read_blocks,
                 tree=tree,
             )
         if self.observer is not None:
+            if path_layout is not None:
+                read_addresses = write_addresses = path_layout.path_addresses(
+                    leaf
+                )
             self.observer(
                 PathAccessRecord(
                     issue_cycle=now,
@@ -445,11 +464,11 @@ class TwoTreeController(PathORAMController):
         if before_write is not None:
             before_write()
         finish_write = finish_read
-        if write_addresses:
-            finish_write = self.dram.service_addresses(
-                write_addresses, True, finish_read
+        if write_blocks:
+            finish_write = dram.service_decomposed(
+                write_triples, True, finish_read
             )
-            stats.inc(sk.MEM_BLOCKS_WRITTEN, len(write_addresses))
+            stats.inc(sk.MEM_BLOCKS_WRITTEN, write_blocks)
             if tracer is not None:
                 tracer.emit(
                     ev.PATH_WRITE,
@@ -457,7 +476,7 @@ class TwoTreeController(PathORAMController):
                     path_type=path_type.value,
                     leaf=leaf,
                     finish=finish_write,
-                    blocks=len(write_addresses),
+                    blocks=write_blocks,
                     tree=tree,
                 )
         return SlotResult(True, path_type, now, finish_read, finish_write)

@@ -6,9 +6,12 @@
  * stay in the tree as both fallback and behavioural oracle, and the
  * equivalence tests compare whole simulations across the two.
  *
- * The kernels operate directly on the simulator's live Python objects
- * (plain lists of ints), so there is a single source of truth for all
- * state; no separate C-side state is kept.
+ * The kernels operate directly on the simulator's live Python objects,
+ * so there is a single source of truth for all state; no separate C-side
+ * state is kept.  The ORAM tree (ORAMTree.slots) and the PosMap leaf table
+ * (PositionMap._leaf_of) are flat array('i') buffers reached through the
+ * buffer protocol; the stash index and the DRAM bank state are dicts and
+ * lists of ints.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -104,101 +107,202 @@ dram_service(PyObject *self, PyObject *args)
     return Py_BuildValue("LLL", finish, row_hits, conflicts);
 }
 
-/* read_and_clear(pairs, level_used, empty) -> [(block, level), ...]
+static inline long long
+bit_length(unsigned long long x)
+{
+    return x ? 64 - __builtin_clzll(x) : 0;
+}
+
+#define FASTPATH_MAX_LEVELS 64
+
+/* Free tree slot (repro.oram.tree.EMPTY) and discarded mapping
+ * (repro.oram.posmap.UNMAPPED). */
+#define EMPTY_SLOT (-1)
+#define UNMAPPED_LEAF (-1)
+
+/* Borrow the int32 buffer of an array('i'); release with
+ * PyBuffer_Release.  Returns 0, or -1 with an exception set.
+ */
+static int
+int32_buffer(PyObject *obj, Py_buffer *view, int writable, const char *what)
+{
+    int flags = PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, flags) < 0)
+        return -1;
+    if (view->itemsize != (Py_ssize_t)sizeof(int32_t) ||
+        view->format == NULL || strcmp(view->format, "i") != 0) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "%s must be an array('i')", what);
+        return -1;
+    }
+    return 0;
+}
+
+/* The tree's geometry from its Z-per-level vector: levels are stored
+ * root first, so bucket (level, position) starts at
+ * base[level] + position * z[level] (ORAMTree.bucket_offset).
+ */
+typedef struct {
+    long long levels;
+    long long z[FASTPATH_MAX_LEVELS];
+    Py_ssize_t base[FASTPATH_MAX_LEVELS];
+    Py_ssize_t total;
+} TreeGeom;
+
+static int
+tree_geom(PyObject *z_seq, TreeGeom *g)
+{
+    PyObject *fast = PySequence_Fast(z_seq, "z_per_level must be a sequence");
+    if (fast == NULL)
+        return -1;
+    Py_ssize_t levels = PySequence_Fast_GET_SIZE(fast);
+    if (levels < 1 || levels >= FASTPATH_MAX_LEVELS) {
+        Py_DECREF(fast);
+        PyErr_SetString(PyExc_ValueError, "unsupported level count");
+        return -1;
+    }
+    g->levels = levels;
+    g->total = 0;
+    for (Py_ssize_t d = 0; d < levels; d++) {
+        long long z = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(fast, d));
+        if (z == -1 && PyErr_Occurred()) {
+            Py_DECREF(fast);
+            return -1;
+        }
+        if (z < 0 || z > INT32_MAX ||
+            z > (PY_SSIZE_T_MAX - g->total) >> d) {
+            Py_DECREF(fast);
+            PyErr_SetString(PyExc_ValueError, "unsupported bucket size");
+            return -1;
+        }
+        g->z[d] = z;
+        g->base[d] = g->total;
+        g->total += (Py_ssize_t)z << d;
+    }
+    Py_DECREF(fast);
+    return 0;
+}
+
+/* Borrow the tree's slot buffer, checked against its geometry. */
+static int
+tree_slots(PyObject *obj, const TreeGeom *g, Py_buffer *view)
+{
+    if (int32_buffer(obj, view, 1, "tree slots") < 0)
+        return -1;
+    if (view->len / (Py_ssize_t)sizeof(int32_t) != g->total) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_ValueError,
+                        "tree slots do not match z_per_level");
+        return -1;
+    }
+    return 0;
+}
+
+static int
+check_leaf(const TreeGeom *g, long long leaf)
+{
+    if (leaf < 0 || (leaf >> (g->levels - 1)) != 0) {
+        PyErr_Format(PyExc_ValueError, "leaf %lld outside the tree", leaf);
+        return -1;
+    }
+    return 0;
+}
+
+/* First slot of the bucket at ``level`` on the path to ``leaf``. */
+static inline int32_t *
+path_bucket(int32_t *slots, const TreeGeom *g, long long leaf,
+            long long level)
+{
+    return slots + g->base[level] +
+           (leaf >> (g->levels - 1 - level)) * g->z[level];
+}
+
+/* level_used (a list of ints) to and from a C array. */
+static int
+load_counts(PyObject *list, long long levels, long long *out)
+{
+    if (!PyList_Check(list) || PyList_GET_SIZE(list) < (Py_ssize_t)levels) {
+        PyErr_SetString(PyExc_ValueError, "level_used must list every level");
+        return -1;
+    }
+    for (long long d = 0; d < levels; d++)
+        out[d] = PyLong_AsLongLong(PyList_GET_ITEM(list, d));
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+static int
+store_counts(PyObject *list, long long levels, const long long *in)
+{
+    for (long long d = 0; d < levels; d++) {
+        PyObject *value = PyLong_FromLongLong(in[d]);
+        if (value == NULL)
+            return -1;
+        PyList_SetItem(list, d, value);
+    }
+    return 0;
+}
+
+/* read_and_clear(slots, z_per_level, level_used, leaf)
+ *   -> [(block, level), ...]
  *
- * `pairs` is a list of (level, slots) tuples (ORAMTree.path_slots);
- * every non-empty slot is cleared to `empty`, its block collected, and
- * level_used decremented per level.  Mirrors the pure-Python loop in
- * ORAMTree.read_and_clear.
+ * Clear every real slot on the path to ``leaf``, root first, collecting
+ * its block, and decrement level_used per level.  Mirrors the
+ * pure-Python loop in ORAMTree.read_and_clear.
  */
 static PyObject *
 read_and_clear(PyObject *self, PyObject *args)
 {
-    PyObject *pairs, *level_used;
-    long long empty;
-    if (!PyArg_ParseTuple(args, "O!O!L",
-                          &PyList_Type, &pairs,
-                          &PyList_Type, &level_used, &empty))
+    PyObject *slots_obj, *z_seq, *level_used;
+    long long leaf;
+    if (!PyArg_ParseTuple(args, "OOO!L", &slots_obj, &z_seq,
+                          &PyList_Type, &level_used, &leaf))
         return NULL;
-
+    TreeGeom g;
+    long long used[FASTPATH_MAX_LEVELS];
+    Py_buffer view;
+    if (tree_geom(z_seq, &g) < 0 || check_leaf(&g, leaf) < 0 ||
+        load_counts(level_used, g.levels, used) < 0 ||
+        tree_slots(slots_obj, &g, &view) < 0)
+        return NULL;
+    int32_t *slots = view.buf;
     PyObject *removed = PyList_New(0);
     if (removed == NULL)
-        return NULL;
-    PyObject *empty_obj = PyLong_FromLongLong(empty);
-    if (empty_obj == NULL) {
-        Py_DECREF(removed);
-        return NULL;
-    }
-
-    Py_ssize_t n_pairs = PyList_GET_SIZE(pairs);
-    for (Py_ssize_t p = 0; p < n_pairs; p++) {
-        PyObject *pair = PyList_GET_ITEM(pairs, p);
-        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
-            PyErr_SetString(PyExc_TypeError, "pairs must hold (level, slots)");
-            goto fail;
-        }
-        PyObject *level_obj = PyTuple_GET_ITEM(pair, 0);
-        PyObject *slots = PyTuple_GET_ITEM(pair, 1);
-        if (!PyList_Check(slots)) {
-            PyErr_SetString(PyExc_TypeError, "slots must be a list");
-            goto fail;
-        }
-        Py_ssize_t z = PyList_GET_SIZE(slots);
-        long long cleared = 0;
-        for (Py_ssize_t i = 0; i < z; i++) {
-            PyObject *block = PyList_GET_ITEM(slots, i);
-            long long value = PyLong_AsLongLong(block);
-            if (PyErr_Occurred())
-                goto fail;
-            if (value == empty)
+        goto fail;
+    for (long long level = 0; level < g.levels; level++) {
+        long long z = g.z[level];
+        if (z == 0)
+            continue;
+        int32_t *bucket = path_bucket(slots, &g, leaf, level);
+        for (long long k = 0; k < z; k++) {
+            if (bucket[k] == EMPTY_SLOT)
                 continue;
-            PyObject *tup = PyTuple_Pack(2, block, level_obj);
+            PyObject *tup = Py_BuildValue("(iL)", (int)bucket[k], level);
             if (tup == NULL)
                 goto fail;
             int rc = PyList_Append(removed, tup);
             Py_DECREF(tup);
             if (rc < 0)
                 goto fail;
-            Py_INCREF(empty_obj);
-            PyList_SetItem(slots, i, empty_obj);
-            cleared++;
-        }
-        if (cleared) {
-            long long level = PyLong_AsLongLong(level_obj);
-            if (PyErr_Occurred())
-                goto fail;
-            if (level < 0 || level >= PyList_GET_SIZE(level_used)) {
-                PyErr_SetString(PyExc_IndexError, "level out of range");
-                goto fail;
-            }
-            long long used =
-                PyLong_AsLongLong(PyList_GET_ITEM(level_used, level));
-            if (PyErr_Occurred())
-                goto fail;
-            PyObject *used_obj = PyLong_FromLongLong(used - cleared);
-            if (used_obj == NULL)
-                goto fail;
-            PyList_SetItem(level_used, level, used_obj);
+            bucket[k] = EMPTY_SLOT;
+            used[level]--;
         }
     }
-    Py_DECREF(empty_obj);
+    PyBuffer_Release(&view);
+    if (store_counts(level_used, g.levels, used) < 0) {
+        Py_DECREF(removed);
+        return NULL;
+    }
     return removed;
 
 fail:
-    Py_DECREF(empty_obj);
-    Py_DECREF(removed);
+    PyBuffer_Release(&view);
+    Py_XDECREF(removed);
     return NULL;
 }
 
 /* ---------------------------------------------------------------- */
 /* Stash index surgery shared by the bulk-add and write-path kernels */
 /* ---------------------------------------------------------------- */
-
-static inline long long
-bit_length(unsigned long long x)
-{
-    return x ? 64 - __builtin_clzll(x) : 0;
-}
 
 /* Remove `block` from the stash dicts (entries, seq, prefix bucket).
  * The caller must hold another reference to `block` (e.g. a tree slot).
@@ -248,6 +352,55 @@ stash_remove_indexed(PyObject *entries, PyObject *seq_dict,
     return PyDict_DelItem(entries, block);
 }
 
+/* Index ``block`` under ``seq_obj`` in the by-prefix bucket of
+ * ``prefix``, creating the bucket on first use.
+ */
+static int
+prefix_bucket_add(PyObject *by_prefix, long long prefix, PyObject *seq_obj,
+                  PyObject *block)
+{
+    PyObject *prefix_obj = PyLong_FromLongLong(prefix);
+    if (prefix_obj == NULL)
+        return -1;
+    PyObject *bucket = PyDict_GetItem(by_prefix, prefix_obj);
+    if (bucket == NULL) {
+        bucket = PyDict_New();
+        if (bucket == NULL ||
+            PyDict_SetItem(by_prefix, prefix_obj, bucket) < 0) {
+            Py_XDECREF(bucket);
+            Py_DECREF(prefix_obj);
+            return -1;
+        }
+        Py_DECREF(bucket);  /* by_prefix holds it now */
+    }
+    Py_DECREF(prefix_obj);
+    return PyDict_SetItem(bucket, seq_obj, block);
+}
+
+/* Insert a block that is not in the stash under sequence number ``seq``:
+ * the fresh-entry body of Stash.add, and the array-mode write-back of
+ * path survivors that bypassed the dicts during run_batch's read phase
+ * with pre-assigned numbers.
+ */
+static int
+stash_insert_with_seq(PyObject *entries, PyObject *seq_dict,
+                      PyObject *by_prefix, long long prefix_shift,
+                      PyObject *block, PyObject *leaf_obj, long long leaf,
+                      long long seq)
+{
+    if (PyDict_SetItem(entries, block, leaf_obj) < 0)
+        return -1;
+    PyObject *seq_obj = PyLong_FromLongLong(seq);
+    if (seq_obj == NULL)
+        return -1;
+    int rc = PyDict_SetItem(seq_dict, block, seq_obj);
+    if (rc == 0)
+        rc = prefix_bucket_add(by_prefix, leaf >> prefix_shift, seq_obj,
+                               block);
+    Py_DECREF(seq_obj);
+    return rc;
+}
+
 /* Insert or update one stash entry with full index maintenance (the body
  * of Stash.add).  ``leaf_obj``/``leaf`` are the block's current mapping;
  * the previous mapping is read *before* the entries dict is updated so
@@ -261,180 +414,93 @@ stash_add_one(PyObject *entries, PyObject *seq_dict, PyObject *by_prefix,
               long long leaf, long long *next_seq)
 {
     PyObject *old_leaf = PyDict_GetItem(entries, block);
-    long long old = 0;
-    int fresh = (old_leaf == NULL);
-    if (!fresh) {
-        old = PyLong_AsLongLong(old_leaf);
-        if (old == -1 && PyErr_Occurred())
-            return -1;
-    }
-    if (PyDict_SetItem(entries, block, leaf_obj) < 0)
-        return -1;
-    if (fresh) {
-        /* Fresh entry: assign a sequence number and index it. */
-        PyObject *seq_obj = PyLong_FromLongLong(*next_seq);
-        if (seq_obj == NULL)
+    if (old_leaf == NULL) {
+        if (stash_insert_with_seq(entries, seq_dict, by_prefix,
+                                  prefix_shift, block, leaf_obj, leaf,
+                                  *next_seq) < 0)
             return -1;
         (*next_seq)++;
-        if (PyDict_SetItem(seq_dict, block, seq_obj) < 0) {
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        PyObject *prefix_obj = PyLong_FromLongLong(leaf >> prefix_shift);
-        if (prefix_obj == NULL) {
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        PyObject *bucket = PyDict_GetItem(by_prefix, prefix_obj);
-        if (bucket == NULL) {
-            bucket = PyDict_New();
-            if (bucket == NULL ||
-                PyDict_SetItem(by_prefix, prefix_obj, bucket) < 0) {
-                Py_XDECREF(bucket);
-                Py_DECREF(prefix_obj);
-                Py_DECREF(seq_obj);
-                return -1;
-            }
-            Py_DECREF(bucket);  /* by_prefix holds it now */
-        }
-        if (PyDict_SetItem(bucket, seq_obj, block) < 0) {
-            Py_DECREF(prefix_obj);
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        Py_DECREF(prefix_obj);
-        Py_DECREF(seq_obj);
         return 0;
     }
     /* Existing entry: keep its seq, move buckets if needed. */
-    {
-        long long old_prefix = old >> prefix_shift;
-        long long new_prefix = leaf >> prefix_shift;
-        if (old_prefix == new_prefix)
-            return 0;
-        PyObject *seq_obj = PyDict_GetItem(seq_dict, block);
-        if (seq_obj == NULL) {
-            PyErr_SetString(PyExc_KeyError, "stash seq missing");
-            return -1;
-        }
-        Py_INCREF(seq_obj);
-        PyObject *old_obj = PyLong_FromLongLong(old_prefix);
-        PyObject *bucket =
-            old_obj ? PyDict_GetItem(by_prefix, old_obj) : NULL;
-        if (bucket == NULL || PyDict_DelItem(bucket, seq_obj) < 0) {
-            if (bucket == NULL && !PyErr_Occurred())
-                PyErr_SetString(PyExc_KeyError,
-                                "stash prefix bucket missing");
-            Py_XDECREF(old_obj);
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        if (PyDict_GET_SIZE(bucket) == 0)
-            PyDict_DelItem(by_prefix, old_obj);
-        Py_DECREF(old_obj);
-        PyObject *new_obj = PyLong_FromLongLong(new_prefix);
-        if (new_obj == NULL) {
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        bucket = PyDict_GetItem(by_prefix, new_obj);
-        if (bucket == NULL) {
-            bucket = PyDict_New();
-            if (bucket == NULL ||
-                PyDict_SetItem(by_prefix, new_obj, bucket) < 0) {
-                Py_XDECREF(bucket);
-                Py_DECREF(new_obj);
-                Py_DECREF(seq_obj);
-                return -1;
-            }
-            Py_DECREF(bucket);
-        }
-        if (PyDict_SetItem(bucket, seq_obj, block) < 0) {
-            Py_DECREF(new_obj);
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        Py_DECREF(new_obj);
-        Py_DECREF(seq_obj);
-    }
-    return 0;
-}
-
-/* Insert a fresh block into the stash dicts with a pre-assigned
- * sequence number — the array-mode write-back for path survivors that
- * bypassed the dicts during the read phase.  The block must not already
- * be present; dict operations run in the same order as the fresh branch
- * of stash_add_one so the resulting index state is identical.
- */
-static int
-stash_insert_with_seq(PyObject *entries, PyObject *seq_dict,
-                      PyObject *by_prefix, long long prefix_shift,
-                      PyObject *block, PyObject *leaf_obj, long long leaf,
-                      long long seq)
-{
+    long long old = PyLong_AsLongLong(old_leaf);
+    if (old == -1 && PyErr_Occurred())
+        return -1;
     if (PyDict_SetItem(entries, block, leaf_obj) < 0)
         return -1;
-    PyObject *seq_obj = PyLong_FromLongLong(seq);
-    if (seq_obj == NULL)
-        return -1;
-    if (PyDict_SetItem(seq_dict, block, seq_obj) < 0) {
-        Py_DECREF(seq_obj);
-        return -1;
-    }
-    PyObject *prefix_obj = PyLong_FromLongLong(leaf >> prefix_shift);
-    if (prefix_obj == NULL) {
-        Py_DECREF(seq_obj);
+    long long old_prefix = old >> prefix_shift;
+    long long new_prefix = leaf >> prefix_shift;
+    if (old_prefix == new_prefix)
+        return 0;
+    PyObject *seq_obj = PyDict_GetItem(seq_dict, block);
+    if (seq_obj == NULL) {
+        PyErr_SetString(PyExc_KeyError, "stash seq missing");
         return -1;
     }
-    PyObject *bucket = PyDict_GetItem(by_prefix, prefix_obj);
+    Py_INCREF(seq_obj);
+    PyObject *old_obj = PyLong_FromLongLong(old_prefix);
+    PyObject *bucket = old_obj ? PyDict_GetItem(by_prefix, old_obj) : NULL;
+    int rc = -1;
     if (bucket == NULL) {
-        bucket = PyDict_New();
-        if (bucket == NULL ||
-            PyDict_SetItem(by_prefix, prefix_obj, bucket) < 0) {
-            Py_XDECREF(bucket);
-            Py_DECREF(prefix_obj);
-            Py_DECREF(seq_obj);
-            return -1;
-        }
-        Py_DECREF(bucket);  /* by_prefix holds it now */
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_KeyError, "stash prefix bucket missing");
+    } else if (PyDict_DelItem(bucket, seq_obj) == 0 &&
+               (PyDict_GET_SIZE(bucket) != 0 ||
+                PyDict_DelItem(by_prefix, old_obj) == 0)) {
+        rc = prefix_bucket_add(by_prefix, new_prefix, seq_obj, block);
     }
-    if (PyDict_SetItem(bucket, seq_obj, block) < 0) {
-        Py_DECREF(prefix_obj);
-        Py_DECREF(seq_obj);
+    Py_XDECREF(old_obj);
+    Py_DECREF(seq_obj);
+    return rc;
+}
+
+/* The mapped leaf of ``block`` in the PosMap leaf table, or -1 with an
+ * exception set (block out of range or unmapped). */
+static long long
+table_leaf(const int32_t *table, Py_ssize_t size, long long block)
+{
+    if (block < 0 || block >= size) {
+        PyErr_SetString(PyExc_IndexError, "block outside position map");
         return -1;
     }
-    Py_DECREF(prefix_obj);
-    Py_DECREF(seq_obj);
-    return 0;
+    if (table[block] == UNMAPPED_LEAF) {
+        PyErr_SetString(PyExc_ValueError, "block has no mapping");
+        return -1;
+    }
+    return table[block];
 }
 
 /* stash_bulk_add(removed, entries, seq_dict, by_prefix, prefix_shift,
  *                next_seq, leaf_table, top) -> (next_seq, top_blocks)
  *
  * Insert every (block, level) pair pulled off a path into the stash with
- * full leaf-prefix index maintenance, mirroring Stash.add.  Blocks read
- * out of the cached top levels are returned so the caller can run the
- * tree-top structure's removal hook on exactly those.
+ * full leaf-prefix index maintenance, mirroring Stash.add; each block's
+ * leaf comes from the PosMap's int32 leaf table.  Blocks read out of the
+ * cached top levels are returned so the caller can run the tree-top
+ * structure's removal hook on exactly those.
  */
 static PyObject *
 stash_bulk_add(PyObject *self, PyObject *args)
 {
-    PyObject *removed, *entries, *seq_dict, *by_prefix, *leaf_table;
+    PyObject *removed, *entries, *seq_dict, *by_prefix, *table_obj;
     long long prefix_shift, next_seq, top;
-    if (!PyArg_ParseTuple(args, "O!O!O!O!LLO!L",
+    if (!PyArg_ParseTuple(args, "O!O!O!O!LLOL",
                           &PyList_Type, &removed,
                           &PyDict_Type, &entries,
                           &PyDict_Type, &seq_dict,
                           &PyDict_Type, &by_prefix,
                           &prefix_shift, &next_seq,
-                          &PyList_Type, &leaf_table, &top))
+                          &table_obj, &top))
         return NULL;
-
+    Py_buffer table_view;
+    if (int32_buffer(table_obj, &table_view, 0, "leaf table") < 0)
+        return NULL;
+    const int32_t *table = table_view.buf;
+    Py_ssize_t table_size = table_view.len / (Py_ssize_t)sizeof(int32_t);
     PyObject *top_blocks = PyList_New(0);
     if (top_blocks == NULL)
-        return NULL;
+        goto fail;
     Py_ssize_t n = PyList_GET_SIZE(removed);
-    Py_ssize_t table_size = PyList_GET_SIZE(leaf_table);
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *pair = PyList_GET_ITEM(removed, i);
         PyObject *block = PyTuple_GET_ITEM(pair, 0);
@@ -444,47 +510,26 @@ stash_bulk_add(PyObject *self, PyObject *args)
             goto fail;
         if (level < top && PyList_Append(top_blocks, block) < 0)
             goto fail;
-        if (block_id < 0 || block_id >= table_size) {
-            PyErr_SetString(PyExc_IndexError, "block outside position map");
+        long long leaf = table_leaf(table, table_size, block_id);
+        if (leaf < 0)
             goto fail;
-        }
-        PyObject *leaf_obj = PyList_GET_ITEM(leaf_table, block_id);
-        long long leaf = PyLong_AsLongLong(leaf_obj);
-        if (leaf == -1) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_ValueError, "block has no mapping");
+        PyObject *leaf_obj = PyLong_FromLongLong(leaf);
+        if (leaf_obj == NULL)
             goto fail;
-        }
-        if (stash_add_one(entries, seq_dict, by_prefix, prefix_shift,
-                          block, leaf_obj, leaf, &next_seq) < 0)
+        int rc = stash_add_one(entries, seq_dict, by_prefix, prefix_shift,
+                               block, leaf_obj, leaf, &next_seq);
+        Py_DECREF(leaf_obj);
+        if (rc < 0)
             goto fail;
     }
-    {
-        PyObject *seq_val = PyLong_FromLongLong(next_seq);
-        if (seq_val == NULL)
-            goto fail;
-        PyObject *result = PyTuple_Pack(2, seq_val, top_blocks);
-        Py_DECREF(seq_val);
-        Py_DECREF(top_blocks);
-        return result;
-    }
+    PyBuffer_Release(&table_view);
+    return Py_BuildValue("(LN)", next_seq, top_blocks);
 
 fail:
-    Py_DECREF(top_blocks);
+    PyBuffer_Release(&table_view);
+    Py_XDECREF(top_blocks);
     return NULL;
 }
-
-/* write_path_place(leaf, entries, seq_dict, by_prefix, prefix_shift,
- *                  prefix_levels, path_slots, z_per_level, level_used,
- *                  levels, top, empty) -> placed_top
- *
- * The full greedy bottom-up write phase for the ungated case (dedicated
- * tree-top cache: may_place always true, placement hooks are counters):
- * group every stash block by deepest eligible level via the leaf-prefix
- * index, then fill bucket slots deepest-first, removing placed blocks
- * from the stash.  Mirrors Stash.path_pools + the placement loop in
- * PathORAMController._write_path.
- */
 
 typedef struct {
     long long seq;
@@ -499,8 +544,6 @@ pool_item_cmp(const void *a, const void *b)
     long long sb = ((const PoolItem *)b)->seq;
     return (sa > sb) - (sa < sb);
 }
-
-#define FASTPATH_MAX_LEVELS 64
 
 /* Cap on the packed per-leaf triple cache inside a batch ctx; mirrors
  * TreeLayout.PATH_CACHE_LIMIT so both memo layers evict in step.
@@ -703,9 +746,10 @@ sstash_remove(PyObject *resident, PyObject *set_count, PyObject *block)
 
 /* The shared placement engine behind write_path_place and run_batch:
  * greedy bottom-up placement over ``items`` already segmented by depth
- * (counts/offsets, each segment sorted by sequence).  ``items`` must
- * have capacity 3*total — the upper two thirds are scratch for the
- * pool stack and the per-level rejection list.
+ * (counts/offsets, each segment sorted by sequence) into the buckets on
+ * the path to ``leaf``.  ``items`` must have capacity 3*total — the
+ * upper two thirds are scratch for the pool stack and the per-level
+ * rejection list.
  *
  * ``gated`` selects the S-Stash variant: placements into the cached top
  * levels consult the set-associativity constraint (``set_of`` callable,
@@ -725,9 +769,8 @@ static int
 place_pools(PoolItem *items, Py_ssize_t total, const Py_ssize_t *counts,
             const Py_ssize_t *offsets, PyObject *entries,
             PyObject *seq_dict, PyObject *by_prefix,
-            long long prefix_shift, PyObject *path_slots,
-            const long long *z_arr, long long *used_arr, long long levels,
-            long long top, long long empty, int gated,
+            long long prefix_shift, int32_t *slots, const TreeGeom *g,
+            long long leaf, long long *used_arr, long long top, int gated,
             PyObject *resident, PyObject *set_count, PyObject *set_of,
             long long ways, int remove_placed, unsigned char *placed_out,
             long long *placed_top, long long *ss_placed,
@@ -737,135 +780,99 @@ place_pools(PoolItem *items, Py_ssize_t total, const Py_ssize_t *counts,
     PoolItem *rejected = items + 2 * total;
 
     /* Greedy bottom-up placement, pool kept as a stack. */
-    {
-        Py_ssize_t stack_size = 0;
-        Py_ssize_t ps_idx = PyList_GET_SIZE(path_slots) - 1;
-        for (long long level = levels - 1; level >= 0; level--) {
-            Py_ssize_t cnt = counts[level];
-            if (cnt) {
-                memcpy(stack + stack_size, items + offsets[level],
-                       sizeof(PoolItem) * (size_t)cnt);
-                stack_size += cnt;
-            }
-            long long z = z_arr[level];
-            if (z == 0)
-                continue;
-            if (ps_idx < 0) {
-                PyErr_SetString(PyExc_ValueError,
-                                "path_slots out of sync with z_per_level");
-                goto fail;
-            }
-            PyObject *pair = PyList_GET_ITEM(path_slots, ps_idx);
-            long long pair_level =
-                PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 0));
-            if (pair_level != level) {
-                PyErr_SetString(PyExc_ValueError,
-                                "path_slots out of sync with z_per_level");
-                goto fail;
-            }
-            PyObject *slots = PyTuple_GET_ITEM(pair, 1);
-            ps_idx--;
-            if (stack_size == 0)
-                continue;
-            int level_gated = gated && level < top;
-            Py_ssize_t z_size = PyList_GET_SIZE(slots);
-            Py_ssize_t scan = 0;
-            Py_ssize_t n_rej = 0;
-            long long placed = 0;
-            long long used_delta = 0;
-            while (stack_size > 0 && placed < z) {
-                PoolItem item = stack[--stack_size];
-                PyObject *block = item.block;
-                PyObject *idx_obj = NULL;
-                long long set_cnt = 0;
-                if (level_gated) {
-                    idx_obj = PyObject_CallOneArg(set_of, block);
-                    if (idx_obj == NULL)
-                        goto fail;
-                    PyObject *cnt_obj =
-                        PyDict_GetItemWithError(set_count, idx_obj);
-                    if (cnt_obj == NULL && PyErr_Occurred()) {
+    Py_ssize_t stack_size = 0;
+    for (long long level = g->levels - 1; level >= 0; level--) {
+        Py_ssize_t cnt = counts[level];
+        if (cnt) {
+            memcpy(stack + stack_size, items + offsets[level],
+                   sizeof(PoolItem) * (size_t)cnt);
+            stack_size += cnt;
+        }
+        long long z = g->z[level];
+        if (z == 0 || stack_size == 0)
+            continue;
+        int32_t *bucket = path_bucket(slots, g, leaf, level);
+        int level_gated = gated && level < top;
+        long long scan = 0;
+        Py_ssize_t n_rej = 0;
+        long long placed = 0;
+        while (stack_size > 0 && placed < z) {
+            PoolItem item = stack[--stack_size];
+            PyObject *block = item.block;
+            PyObject *idx_obj = NULL;
+            long long set_cnt = 0;
+            if (level_gated) {
+                idx_obj = PyObject_CallOneArg(set_of, block);
+                if (idx_obj == NULL)
+                    return -1;
+                PyObject *cnt_obj =
+                    PyDict_GetItemWithError(set_count, idx_obj);
+                if (cnt_obj == NULL && PyErr_Occurred()) {
+                    Py_DECREF(idx_obj);
+                    return -1;
+                }
+                if (cnt_obj != NULL) {
+                    set_cnt = PyLong_AsLongLong(cnt_obj);
+                    if (set_cnt == -1 && PyErr_Occurred()) {
                         Py_DECREF(idx_obj);
-                        goto fail;
-                    }
-                    if (cnt_obj != NULL) {
-                        set_cnt = PyLong_AsLongLong(cnt_obj);
-                        if (set_cnt == -1 && PyErr_Occurred()) {
-                            Py_DECREF(idx_obj);
-                            goto fail;
-                        }
-                    }
-                    if (set_cnt >= ways) {
-                        /* Set full: skip this block for this round. */
-                        Py_DECREF(idx_obj);
-                        rejected[n_rej++] = item;
-                        (*ss_skips)++;
-                        continue;
+                        return -1;
                     }
                 }
-                /* first EMPTY slot (earlier ones were just filled) */
-                Py_ssize_t free_idx = -1;
-                for (Py_ssize_t i = scan; i < z_size; i++) {
-                    long long occupant = PyLong_AsLongLong(
-                        PyList_GET_ITEM(slots, i));
-                    if (occupant == -1 && PyErr_Occurred()) {
-                        Py_XDECREF(idx_obj);
-                        goto fail;
-                    }
-                    if (occupant == empty) {
-                        free_idx = i;
-                        break;
-                    }
+                if (set_cnt >= ways) {
+                    /* Set full: skip this block for this round. */
+                    Py_DECREF(idx_obj);
+                    rejected[n_rej++] = item;
+                    (*ss_skips)++;
+                    continue;
                 }
-                if (free_idx < 0) {
+            }
+            /* first EMPTY slot (earlier ones were just filled) */
+            while (scan < z && bucket[scan] != EMPTY_SLOT)
+                scan++;
+            long value = PyLong_AsLong(block);
+            if (scan == z || (value == -1 && PyErr_Occurred())) {
+                if (scan == z)
                     PyErr_SetString(PyExc_RuntimeError,
                                     "bucket full during write phase");
-                    Py_XDECREF(idx_obj);
-                    goto fail;
-                }
-                Py_INCREF(block);
-                PyList_SetItem(slots, free_idx, block);
-                scan = free_idx + 1;
-                used_delta++;
-                placed++;
-                if (level_gated) {
-                    PyObject *cnt_obj = PyLong_FromLongLong(set_cnt + 1);
-                    if (cnt_obj == NULL ||
-                        PyDict_SetItem(set_count, idx_obj, cnt_obj) < 0) {
-                        Py_XDECREF(cnt_obj);
-                        Py_DECREF(idx_obj);
-                        goto fail;
-                    }
-                    Py_DECREF(cnt_obj);
-                    if (PyDict_SetItem(resident, block, idx_obj) < 0) {
-                        Py_DECREF(idx_obj);
-                        goto fail;
-                    }
-                    Py_DECREF(idx_obj);
-                    (*ss_placed)++;
-                } else if (level < top) {
-                    (*placed_top)++;
-                }
-                if (remove_placed) {
-                    if (stash_remove_indexed(entries, seq_dict, by_prefix,
-                                             prefix_shift, block) < 0)
-                        goto fail;
-                } else {
-                    placed_out[item.idx] = 1;
-                }
+                Py_XDECREF(idx_obj);
+                return -1;
             }
-            /* Re-stack rejected blocks in rejection order: the next pop
-             * takes the most recently rejected first, matching
-             * pool.extend(rejected) + pool.pop(). */
-            for (Py_ssize_t r = 0; r < n_rej; r++)
-                stack[stack_size++] = rejected[r];
-            used_arr[level] += used_delta;
+            bucket[scan++] = (int32_t)value;
+            used_arr[level]++;
+            placed++;
+            if (level_gated) {
+                PyObject *cnt_obj = PyLong_FromLongLong(set_cnt + 1);
+                if (cnt_obj == NULL ||
+                    PyDict_SetItem(set_count, idx_obj, cnt_obj) < 0) {
+                    Py_XDECREF(cnt_obj);
+                    Py_DECREF(idx_obj);
+                    return -1;
+                }
+                Py_DECREF(cnt_obj);
+                if (PyDict_SetItem(resident, block, idx_obj) < 0) {
+                    Py_DECREF(idx_obj);
+                    return -1;
+                }
+                Py_DECREF(idx_obj);
+                (*ss_placed)++;
+            } else if (level < top) {
+                (*placed_top)++;
+            }
+            if (remove_placed) {
+                if (stash_remove_indexed(entries, seq_dict, by_prefix,
+                                         prefix_shift, block) < 0)
+                    return -1;
+            } else {
+                placed_out[item.idx] = 1;
+            }
         }
+        /* Re-stack rejected blocks in rejection order: the next pop
+         * takes the most recently rejected first, matching
+         * pool.extend(rejected) + pool.pop(). */
+        for (Py_ssize_t r = 0; r < n_rej; r++)
+            stack[stack_size++] = rejected[r];
     }
     return 0;
-
-fail:
-    return -1;
 }
 
 /* Dict-backed placement: depth-bucket the whole stash via the prefix
@@ -875,10 +882,8 @@ fail:
 static int
 write_place_core(long long leaf, PyObject *entries, PyObject *seq_dict,
                  PyObject *by_prefix, long long prefix_shift,
-                 long long prefix_levels, PyObject *path_slots,
-                 const long long *z_arr, long long *used_arr,
-                 long long levels,
-                 long long top, long long empty, int gated,
+                 long long prefix_levels, int32_t *slots, const TreeGeom *g,
+                 long long *used_arr, long long top, int gated,
                  PyObject *resident, PyObject *set_count, PyObject *set_of,
                  long long ways, long long *placed_top,
                  long long *ss_placed, long long *ss_skips)
@@ -895,62 +900,60 @@ write_place_core(long long leaf, PyObject *entries, PyObject *seq_dict,
     Py_ssize_t counts[FASTPATH_MAX_LEVELS];
     Py_ssize_t offsets[FASTPATH_MAX_LEVELS];
     int rc = group_by_depth(leaf, entries, by_prefix, prefix_shift,
-                            prefix_levels, levels, items, counts, offsets);
+                            prefix_levels, g->levels, items, counts,
+                            offsets);
     if (rc == 0)
         rc = place_pools(items, total, counts, offsets, entries, seq_dict,
-                         by_prefix, prefix_shift, path_slots, z_arr,
-                         used_arr, levels, top, empty, gated, resident,
-                         set_count, set_of, ways, 1, NULL, placed_top,
-                         ss_placed, ss_skips);
+                         by_prefix, prefix_shift, slots, g, leaf, used_arr,
+                         top, gated, resident, set_count, set_of, ways, 1,
+                         NULL, placed_top, ss_placed, ss_skips);
     PyMem_Free(items);
     return rc;
 }
 
+/* write_path_place(leaf, entries, seq_dict, by_prefix, prefix_shift,
+ *                  prefix_levels, slots, z_per_level, level_used, top)
+ *   -> placed_top
+ *
+ * The full greedy bottom-up write phase for the ungated case (dedicated
+ * tree-top cache: may_place always true, placement hooks are counters):
+ * group every stash block by deepest eligible level via the leaf-prefix
+ * index, then fill the tree's bucket slots on the path to ``leaf``
+ * deepest-first, removing placed blocks from the stash.  Mirrors
+ * Stash.path_pools + the placement loop in PathORAMController._place_path.
+ */
 static PyObject *
 write_path_place(PyObject *self, PyObject *args)
 {
-    PyObject *entries, *seq_dict, *by_prefix, *path_slots, *z_list,
+    PyObject *entries, *seq_dict, *by_prefix, *slots_obj, *z_seq,
         *level_used;
-    long long leaf, prefix_shift, prefix_levels, levels, top, empty;
-    if (!PyArg_ParseTuple(args, "LO!O!O!LLO!O!O!LLL",
+    long long leaf, prefix_shift, prefix_levels, top;
+    if (!PyArg_ParseTuple(args, "LO!O!O!LLOOO!L",
                           &leaf,
                           &PyDict_Type, &entries,
                           &PyDict_Type, &seq_dict,
                           &PyDict_Type, &by_prefix,
                           &prefix_shift, &prefix_levels,
-                          &PyList_Type, &path_slots,
-                          &PyList_Type, &z_list,
-                          &PyList_Type, &level_used,
-                          &levels, &top, &empty))
+                          &slots_obj, &z_seq,
+                          &PyList_Type, &level_used, &top))
         return NULL;
-    if (levels < 1 || levels > FASTPATH_MAX_LEVELS ||
-        PyList_GET_SIZE(z_list) < (Py_ssize_t)levels ||
-        PyList_GET_SIZE(level_used) < (Py_ssize_t)levels) {
-        PyErr_SetString(PyExc_ValueError, "unsupported level count");
-        return NULL;
-    }
-    long long z_arr[FASTPATH_MAX_LEVELS];
-    long long used_arr[FASTPATH_MAX_LEVELS];
-    for (long long d = 0; d < levels; d++) {
-        z_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(z_list, d));
-        used_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(level_used, d));
-    }
-    if (PyErr_Occurred())
+    TreeGeom g;
+    long long used[FASTPATH_MAX_LEVELS];
+    Py_buffer view;
+    if (tree_geom(z_seq, &g) < 0 || check_leaf(&g, leaf) < 0 ||
+        load_counts(level_used, g.levels, used) < 0 ||
+        tree_slots(slots_obj, &g, &view) < 0)
         return NULL;
     long long placed_top = 0;
     long long ss_placed = 0;
     long long ss_skips = 0;
-    if (write_place_core(leaf, entries, seq_dict, by_prefix, prefix_shift,
-                         prefix_levels, path_slots, z_arr, used_arr,
-                         levels, top, empty, 0, NULL, NULL, NULL, 0,
-                         &placed_top, &ss_placed, &ss_skips) < 0)
+    int rc = write_place_core(leaf, entries, seq_dict, by_prefix,
+                              prefix_shift, prefix_levels, view.buf, &g,
+                              used, top, 0, NULL, NULL, NULL, 0,
+                              &placed_top, &ss_placed, &ss_skips);
+    PyBuffer_Release(&view);
+    if (rc < 0 || store_counts(level_used, g.levels, used) < 0)
         return NULL;
-    for (long long d = 0; d < levels; d++) {
-        PyObject *used_obj = PyLong_FromLongLong(used_arr[d]);
-        if (used_obj == NULL)
-            return NULL;
-        PyList_SetItem(level_used, d, used_obj);
-    }
     return PyLong_FromLongLong(placed_top);
 }
 
@@ -1176,22 +1179,24 @@ pack_triples_entry(PyObject *self, PyObject *args)
  * PathORAMController.dummy_path followed by ``now = max(now + interval,
  * finish_write)``.
  *
- * ``ctx`` is the 29-slot tuple built by the controller (RNG callable and
- * leaf count, the two per-leaf caches with their miss fallbacks, stash
- * index dicts, position-map leaf table, tree geometry, DRAM bank-state
- * lists and timing parameters, the tree-top mode: 0 = dedicated
- * counter-only cache, 1 = S-Stash gating, a dict the kernel fills with
- * packed per-leaf triple arrays so repeat leaves skip unboxing, and the
- * RNG's bound ``getrandbits`` plus the leaf-count bit width when the
- * controller verified plain ``random.Random`` semantics — the kernel
- * then draws leaves with rejection sampling exactly as
- * ``Random._randbelow_with_getrandbits`` does, skipping the interpreted
- * ``randrange`` wrapper while consuming the identical bit stream).  The batch stops early at
- * ``horizon`` (next real work item, -1 = none), or as soon as the stash
- * is over ``stop_threshold`` (-1 = never), so every slot-boundary
- * decision the per-access loop would have made stays identical.  Stash
- * occupancy is compared against ``trigger_threshold`` after every write
- * phase to accumulate eviction-trigger counts.
+ * ``ctx`` is the 26-slot tuple built by the controller: the RNG callable
+ * and leaf count, the layout's per-leaf triple memo with its miss
+ * fallback, the tree's slot array, the stash index dicts, the PosMap
+ * leaf table, the Z vector and level_used, the cached-top depth, the
+ * DRAM bank-state lists and timing parameters, the tree-top mode (0 =
+ * dedicated counter-only cache, 1 = S-Stash gating) with the S-Stash
+ * containers, a dict the kernel fills with packed per-leaf triple arrays
+ * so repeat leaves skip unboxing, and the RNG's bound ``getrandbits``
+ * plus the leaf-count bit width when the controller verified plain
+ * ``random.Random`` semantics — the kernel then draws leaves with
+ * rejection sampling exactly as ``Random._randbelow_with_getrandbits``
+ * does, skipping the interpreted ``randrange`` wrapper while consuming
+ * the identical bit stream.  The batch stops early at ``horizon`` (next
+ * real work item, -1 = none), or as soon as the stash is over
+ * ``stop_threshold`` (-1 = never), so every slot-boundary decision the
+ * per-access loop would have made stays identical.  Stash occupancy is
+ * compared against ``trigger_threshold`` after every write phase to
+ * accumulate eviction-trigger counts.
  *
  * ``agg`` is (blocks, row_hits, row_conflicts, placed_top, removed_top,
  * eviction_triggers, sstash_placed, sstash_removed, sstash_skips);
@@ -1199,6 +1204,8 @@ pack_triples_entry(PyObject *self, PyObject *args)
  * requested; ``timings`` is (rng_ns, read_dram_ns, stash_ns, place_ns,
  * write_dram_ns) when ``collect_timing`` is set.
  */
+#define RUN_BATCH_CTX_SLOTS 26
+
 static PyObject *
 run_batch(PyObject *self, PyObject *args)
 {
@@ -1212,46 +1219,41 @@ run_batch(PyObject *self, PyObject *args)
                           &trigger_threshold, &want_bounds,
                           &collect_timing))
         return NULL;
-    if (PyTuple_GET_SIZE(ctx) != 29) {
-        PyErr_SetString(PyExc_ValueError, "run_batch ctx must have 29 slots");
+    if (PyTuple_GET_SIZE(ctx) != RUN_BATCH_CTX_SLOTS) {
+        PyErr_SetString(PyExc_ValueError, "run_batch ctx must have 26 slots");
         return NULL;
     }
     PyObject *randrange = PyTuple_GET_ITEM(ctx, 0);
     PyObject *leaves_obj = PyTuple_GET_ITEM(ctx, 1);
     PyObject *triples_cache = PyTuple_GET_ITEM(ctx, 2);
     PyObject *triples_fn = PyTuple_GET_ITEM(ctx, 3);
-    PyObject *slots_cache = PyTuple_GET_ITEM(ctx, 4);
-    PyObject *slots_fn = PyTuple_GET_ITEM(ctx, 5);
-    PyObject *entries = PyTuple_GET_ITEM(ctx, 6);
-    PyObject *seq_dict = PyTuple_GET_ITEM(ctx, 7);
-    PyObject *by_prefix = PyTuple_GET_ITEM(ctx, 8);
-    long long prefix_shift = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 9));
-    long long prefix_levels = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 10));
-    PyObject *leaf_table = PyTuple_GET_ITEM(ctx, 11);
-    PyObject *z_list = PyTuple_GET_ITEM(ctx, 12);
-    PyObject *level_used = PyTuple_GET_ITEM(ctx, 13);
-    long long levels = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 14));
-    long long top = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 15));
-    long long empty = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 16));
-    PyObject *bank_ready = PyTuple_GET_ITEM(ctx, 17);
-    PyObject *bank_open_row = PyTuple_GET_ITEM(ctx, 18);
-    PyObject *bus_free_list = PyTuple_GET_ITEM(ctx, 19);
-    PyObject *dram_params = PyTuple_GET_ITEM(ctx, 20);
-    long long treetop_mode = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 21));
-    PyObject *resident = PyTuple_GET_ITEM(ctx, 22);
-    PyObject *set_count = PyTuple_GET_ITEM(ctx, 23);
-    PyObject *set_of = PyTuple_GET_ITEM(ctx, 24);
-    long long ways = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 25));
-    PyObject *packed_cache = PyTuple_GET_ITEM(ctx, 26);
-    PyObject *getrandbits = PyTuple_GET_ITEM(ctx, 27);
-    long long leaf_bits = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 28));
+    PyObject *slots_obj = PyTuple_GET_ITEM(ctx, 4);
+    PyObject *entries = PyTuple_GET_ITEM(ctx, 5);
+    PyObject *seq_dict = PyTuple_GET_ITEM(ctx, 6);
+    PyObject *by_prefix = PyTuple_GET_ITEM(ctx, 7);
+    long long prefix_shift = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 8));
+    long long prefix_levels = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 9));
+    PyObject *table_obj = PyTuple_GET_ITEM(ctx, 10);
+    PyObject *z_seq = PyTuple_GET_ITEM(ctx, 11);
+    PyObject *level_used = PyTuple_GET_ITEM(ctx, 12);
+    long long top = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 13));
+    PyObject *bank_ready = PyTuple_GET_ITEM(ctx, 14);
+    PyObject *bank_open_row = PyTuple_GET_ITEM(ctx, 15);
+    PyObject *bus_free_list = PyTuple_GET_ITEM(ctx, 16);
+    PyObject *dram_params = PyTuple_GET_ITEM(ctx, 17);
+    long long treetop_mode = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 18));
+    PyObject *resident = PyTuple_GET_ITEM(ctx, 19);
+    PyObject *set_count = PyTuple_GET_ITEM(ctx, 20);
+    PyObject *set_of = PyTuple_GET_ITEM(ctx, 21);
+    long long ways = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 22));
+    PyObject *packed_cache = PyTuple_GET_ITEM(ctx, 23);
+    PyObject *getrandbits = PyTuple_GET_ITEM(ctx, 24);
+    long long leaf_bits = PyLong_AsLongLong(PyTuple_GET_ITEM(ctx, 25));
     if (PyErr_Occurred())
         return NULL;
     if (!PyDict_Check(entries) || !PyDict_Check(seq_dict) ||
         !PyDict_Check(by_prefix) || !PyDict_Check(triples_cache) ||
-        !PyDict_Check(packed_cache) ||
-        !PyDict_Check(slots_cache) || !PyList_Check(leaf_table) ||
-        !PyList_Check(z_list) || !PyList_Check(level_used) ||
+        !PyDict_Check(packed_cache) || !PyList_Check(level_used) ||
         !PyList_Check(bank_ready) || !PyList_Check(bank_open_row) ||
         !PyList_Check(bus_free_list) || !PyTuple_Check(dram_params) ||
         PyTuple_GET_SIZE(dram_params) != 5) {
@@ -1271,34 +1273,52 @@ run_batch(PyObject *self, PyObject *args)
     dcfg.cas_burst = PyLong_AsLongLong(PyTuple_GET_ITEM(dram_params, 4));
     if (PyErr_Occurred())
         return NULL;
-    if (levels < 1 || levels > FASTPATH_MAX_LEVELS || dcfg.ratio <= 0 ||
-        max_paths < 0 || now < 0 ||
-        PyList_GET_SIZE(z_list) < (Py_ssize_t)levels ||
-        PyList_GET_SIZE(level_used) < (Py_ssize_t)levels) {
+    if (dcfg.ratio <= 0 || max_paths < 0 || now < 0) {
         PyErr_SetString(PyExc_ValueError, "unsupported run_batch geometry");
         return NULL;
     }
 
-    /* Hoist the per-level constants and occupancy counters into C
-     * arrays for the whole batch; occupancy is written back with the
-     * bank state on success.  Nothing the kernel calls back into
-     * (cache-miss fallbacks, the RNG) reads these lists mid-batch.
+    /* Hoist the per-level occupancy counters into a C array for the
+     * whole batch; they are written back with the bank state on
+     * success.  Nothing the kernel calls back into (cache-miss
+     * fallbacks, the RNG) reads level_used mid-batch.
      */
-    long long z_arr[FASTPATH_MAX_LEVELS];
+    TreeGeom g;
     long long used_arr[FASTPATH_MAX_LEVELS];
-    for (long long d = 0; d < levels; d++) {
-        z_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(z_list, d));
-        used_arr[d] = PyLong_AsLongLong(PyList_GET_ITEM(level_used, d));
-    }
+    if (tree_geom(z_seq, &g) < 0 ||
+        load_counts(level_used, g.levels, used_arr) < 0)
+        return NULL;
+    long long levels = g.levels;
     long long leaves_count = PyLong_AsLongLong(leaves_obj);
     if (PyErr_Occurred())
         return NULL;
+    if (leaves_count != (1LL << (levels - 1))) {
+        PyErr_SetString(PyExc_ValueError, "leaf count does not match tree");
+        return NULL;
+    }
+
+    /* The tree and the leaf table stay exported for the whole batch, so
+     * nothing the kernel calls back into can resize them. */
+    Py_buffer slots_view, table_view;
+    if (tree_slots(slots_obj, &g, &slots_view) < 0)
+        return NULL;
+    if (int32_buffer(table_obj, &table_view, 0, "leaf table") < 0) {
+        PyBuffer_Release(&slots_view);
+        return NULL;
+    }
+    int32_t *slots = slots_view.buf;
+    const int32_t *table = table_view.buf;
+    Py_ssize_t table_size = table_view.len / (Py_ssize_t)sizeof(int32_t);
+
     int use_grb = (getrandbits != Py_None && leaf_bits > 0);
     PyObject *bits_obj = NULL;
+    long long *bank_state = NULL;
+    PyObject *bounds = NULL;
+    PoolItem *abuf = NULL;          /* [read order | 3x engine scratch] */
     if (use_grb) {
         bits_obj = PyLong_FromLongLong(leaf_bits);
         if (bits_obj == NULL)
-            return NULL;
+            goto fail;
     }
 
     /* Hoist bank state into C arrays; written back only on success. */
@@ -1306,14 +1326,13 @@ run_batch(PyObject *self, PyObject *args)
     Py_ssize_t n_channels = PyList_GET_SIZE(bus_free_list);
     if (PyList_GET_SIZE(bank_open_row) != n_banks) {
         PyErr_SetString(PyExc_ValueError, "bank state lists out of sync");
-        Py_XDECREF(bits_obj);
-        return NULL;
+        goto fail;
     }
-    long long *bank_state = PyMem_Malloc(
+    bank_state = PyMem_Malloc(
         sizeof(long long) * (size_t)(2 * n_banks + n_channels));
     if (bank_state == NULL) {
-        Py_XDECREF(bits_obj);
-        return PyErr_NoMemory();
+        PyErr_NoMemory();
+        goto fail;
     }
     long long *ready = bank_state;
     long long *open_row = bank_state + n_banks;
@@ -1324,16 +1343,10 @@ run_batch(PyObject *self, PyObject *args)
     }
     for (Py_ssize_t i = 0; i < n_channels; i++)
         bus_free[i] = PyLong_AsLongLong(PyList_GET_ITEM(bus_free_list, i));
-    PyObject *empty_obj = PyLong_FromLongLong(empty);
-    PyObject *bounds = want_bounds ? PyList_New(0) : NULL;
-    if (PyErr_Occurred() || empty_obj == NULL ||
-        (want_bounds && bounds == NULL)) {
-        PyMem_Free(bank_state);
-        Py_XDECREF(empty_obj);
-        Py_XDECREF(bounds);
-        Py_XDECREF(bits_obj);
-        return NULL;
-    }
+    if (PyErr_Occurred())
+        goto fail;
+    if (want_bounds && (bounds = PyList_New(0)) == NULL)
+        goto fail;
 
     /* Scratch for the empty-stash array fastpath: when a path begins
      * with an empty stash (the steady state for dummy-path batches),
@@ -1347,25 +1360,19 @@ run_batch(PyObject *self, PyObject *args)
      */
     long long max_slots = 0;
     for (long long d = 0; d < levels; d++)
-        max_slots += z_arr[d];
-    PoolItem *abuf = NULL;          /* [read order | 3x engine scratch] */
-    PyObject **aleaf_obj = NULL;    /* borrowed leaf objects, read order */
+        max_slots += g.z[d];
     long long *ableaf = NULL;
     long long *adepth = NULL;
     unsigned char *aplaced = NULL;
     if (max_slots > 0) {
-        size_t bytes = (sizeof(PoolItem) * 4 + sizeof(PyObject *) +
-                        sizeof(long long) * 2 + 1) * (size_t)max_slots;
+        size_t bytes = (sizeof(PoolItem) * 4 + sizeof(long long) * 2 + 1) *
+                       (size_t)max_slots;
         abuf = PyMem_Malloc(bytes);
         if (abuf == NULL) {
-            PyMem_Free(bank_state);
-            Py_DECREF(empty_obj);
-            Py_XDECREF(bounds);
-            Py_XDECREF(bits_obj);
-            return PyErr_NoMemory();
+            PyErr_NoMemory();
+            goto fail;
         }
-        aleaf_obj = (PyObject **)(abuf + 4 * max_slots);
-        ableaf = (long long *)(aleaf_obj + max_slots);
+        ableaf = (long long *)(abuf + 4 * max_slots);
         adepth = ableaf + max_slots;
         aplaced = (unsigned char *)(adepth + max_slots);
     }
@@ -1377,7 +1384,6 @@ run_batch(PyObject *self, PyObject *args)
     long long ss_placed = 0, ss_removed = 0, ss_skips = 0;
     unsigned long long t_rng = 0, t_read_dram = 0, t_stash = 0,
         t_place = 0, t_write_dram = 0;
-    Py_ssize_t table_size = PyList_GET_SIZE(leaf_table);
 
     while (n < max_paths) {
         if (horizon >= 0 && now >= horizon)
@@ -1385,7 +1391,7 @@ run_batch(PyObject *self, PyObject *args)
         if (stop_threshold >= 0 &&
             (long long)PyDict_GET_SIZE(entries) > stop_threshold)
             break;
-        PyObject *leaf_obj = NULL, *packed = NULL, *pairs = NULL;
+        PyObject *leaf_obj = NULL, *packed = NULL;
         int array_mode = (abuf != NULL && PyDict_GET_SIZE(entries) == 0);
         Py_ssize_t n_read = 0;
         Py_ssize_t acounts[FASTPATH_MAX_LEVELS];
@@ -1419,6 +1425,8 @@ run_batch(PyObject *self, PyObject *args)
             if (leaf == -1 && PyErr_Occurred())
                 goto path_fail;
         }
+        if (check_leaf(&g, leaf) < 0)
+            goto path_fail;
         if (collect_timing) {
             unsigned long long t1 = now_ns();
             t_rng += t1 - t0;
@@ -1479,51 +1487,25 @@ run_batch(PyObject *self, PyObject *args)
             t0 = t1;
         }
 
-        /* Path slot pairs: cache hit or memoizing Python fallback. */
-        pairs = PyDict_GetItemWithError(slots_cache, leaf_obj);
-        if (pairs != NULL) {
-            Py_INCREF(pairs);
-        } else {
-            if (PyErr_Occurred())
-                goto path_fail;
-            pairs = PyObject_CallOneArg(slots_fn, leaf_obj);
-            if (pairs == NULL)
-                goto path_fail;
-        }
-        if (!PyList_Check(pairs)) {
-            PyErr_SetString(PyExc_TypeError, "path_slots must be a list");
-            goto path_fail;
-        }
-
         /* Fused read_and_clear + stash insertion + tree-top removal. */
         long long tprefix = leaf >> prefix_shift;
-        Py_ssize_t n_pairs = PyList_GET_SIZE(pairs);
-        for (Py_ssize_t p = 0; p < n_pairs; p++) {
-            PyObject *pair = PyList_GET_ITEM(pairs, p);
-            if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2 ||
-                !PyList_Check(PyTuple_GET_ITEM(pair, 1))) {
-                PyErr_SetString(PyExc_TypeError,
-                                "pairs must hold (level, slots)");
-                goto path_fail;
-            }
-            PyObject *level_obj = PyTuple_GET_ITEM(pair, 0);
-            PyObject *slots = PyTuple_GET_ITEM(pair, 1);
-            long long level = PyLong_AsLongLong(level_obj);
-            if (level == -1 && PyErr_Occurred())
-                goto path_fail;
-            Py_ssize_t z_size = PyList_GET_SIZE(slots);
-            long long cleared = 0;
-            for (Py_ssize_t s = 0; s < z_size; s++) {
-                PyObject *block = PyList_GET_ITEM(slots, s);
-                long long value = PyLong_AsLongLong(block);
-                if (value == -1 && PyErr_Occurred())
-                    goto path_fail;
-                if (value == empty)
+        for (long long level = 0; level < levels; level++) {
+            long long z = g.z[level];
+            if (z == 0)
+                continue;
+            int32_t *bucket = path_bucket(slots, &g, leaf, level);
+            for (long long s = 0; s < z; s++) {
+                long long value = bucket[s];
+                if (value == EMPTY_SLOT)
                     continue;
-                Py_INCREF(block);  /* outlive the slot overwrite */
-                Py_INCREF(empty_obj);
-                PyList_SetItem(slots, s, empty_obj);
-                cleared++;
+                long long bleaf = table_leaf(table, table_size, value);
+                if (bleaf < 0)
+                    goto path_fail;
+                PyObject *block = PyLong_FromLongLong(value);
+                if (block == NULL)
+                    goto path_fail;
+                bucket[s] = EMPTY_SLOT;
+                used_arr[level]--;
                 if (level < top) {
                     if (treetop_mode == 1) {
                         if (sstash_remove(resident, set_count, block) < 0) {
@@ -1534,21 +1516,6 @@ run_batch(PyObject *self, PyObject *args)
                     } else {
                         removed_top++;
                     }
-                }
-                if (value < 0 || value >= table_size) {
-                    PyErr_SetString(PyExc_IndexError,
-                                    "block outside position map");
-                    Py_DECREF(block);
-                    goto path_fail;
-                }
-                PyObject *bleaf_obj = PyList_GET_ITEM(leaf_table, value);
-                long long bleaf = PyLong_AsLongLong(bleaf_obj);
-                if (bleaf == -1) {
-                    if (!PyErr_Occurred())
-                        PyErr_SetString(PyExc_ValueError,
-                                        "block has no mapping");
-                    Py_DECREF(block);
-                    goto path_fail;
                 }
                 if (array_mode) {
                     long long bprefix = bleaf >> prefix_shift;
@@ -1568,28 +1535,21 @@ run_batch(PyObject *self, PyObject *args)
                     abuf[n_read].seq = next_seq;
                     abuf[n_read].block = block;  /* keep the strong ref */
                     abuf[n_read].idx = n_read;
-                    aleaf_obj[n_read] = bleaf_obj;
                     ableaf[n_read] = bleaf;
                     adepth[n_read] = depth;
                     acounts[depth]++;
                     next_seq++;
                     n_read++;
                 } else {
-                    if (stash_add_one(entries, seq_dict, by_prefix,
-                                      prefix_shift, block, bleaf_obj, bleaf,
-                                      &next_seq) < 0) {
-                        Py_DECREF(block);
-                        goto path_fail;
-                    }
+                    PyObject *bleaf_obj = PyLong_FromLongLong(bleaf);
+                    int rc = bleaf_obj == NULL ? -1 : stash_add_one(
+                        entries, seq_dict, by_prefix, prefix_shift, block,
+                        bleaf_obj, bleaf, &next_seq);
+                    Py_XDECREF(bleaf_obj);
                     Py_DECREF(block);
+                    if (rc < 0)
+                        goto path_fail;
                 }
-            }
-            if (cleared) {
-                if (level < 0 || level >= levels) {
-                    PyErr_SetString(PyExc_IndexError, "level out of range");
-                    goto path_fail;
-                }
-                used_arr[level] -= cleared;
             }
         }
         {
@@ -1622,20 +1582,23 @@ run_batch(PyObject *self, PyObject *args)
                     seg[afill[adepth[i]]++] = abuf[i];
                 memset(aplaced, 0, (size_t)n_read);
                 if (place_pools(seg, n_read, acounts, aoffsets, entries,
-                                seq_dict, by_prefix, prefix_shift, pairs,
-                                z_arr, used_arr, levels, top, empty,
-                                treetop_mode == 1, resident, set_count,
-                                set_of, ways, 0, aplaced, &placed_top,
-                                &ss_placed, &ss_skips) < 0)
+                                seq_dict, by_prefix, prefix_shift, slots,
+                                &g, leaf, used_arr, top, treetop_mode == 1,
+                                resident, set_count, set_of, ways, 0,
+                                aplaced, &placed_top, &ss_placed,
+                                &ss_skips) < 0)
                     goto path_fail;
                 /* Survivors enter the stash dicts in read order with
                  * their pre-assigned sequence numbers. */
                 for (Py_ssize_t i = 0; i < n_read; i++) {
-                    if (!aplaced[i] &&
-                        stash_insert_with_seq(entries, seq_dict,
-                                              by_prefix, prefix_shift,
-                                              abuf[i].block, aleaf_obj[i],
-                                              ableaf[i], abuf[i].seq) < 0)
+                    if (aplaced[i])
+                        continue;
+                    PyObject *bleaf_obj = PyLong_FromLongLong(ableaf[i]);
+                    int rc = bleaf_obj == NULL ? -1 : stash_insert_with_seq(
+                        entries, seq_dict, by_prefix, prefix_shift,
+                        abuf[i].block, bleaf_obj, ableaf[i], abuf[i].seq);
+                    Py_XDECREF(bleaf_obj);
+                    if (rc < 0)
                         goto path_fail;
                 }
                 for (Py_ssize_t i = 0; i < n_read; i++)
@@ -1643,10 +1606,10 @@ run_batch(PyObject *self, PyObject *args)
                 n_read = 0;
             }
         } else if (write_place_core(leaf, entries, seq_dict, by_prefix,
-                                    prefix_shift, prefix_levels, pairs,
-                                    z_arr, used_arr, levels, top, empty,
-                                    treetop_mode == 1, resident, set_count,
-                                    set_of, ways, &placed_top, &ss_placed,
+                                    prefix_shift, prefix_levels, slots, &g,
+                                    used_arr, top, treetop_mode == 1,
+                                    resident, set_count, set_of, ways,
+                                    &placed_top, &ss_placed,
                                     &ss_skips) < 0)
             goto path_fail;
         if (collect_timing) {
@@ -1679,7 +1642,6 @@ run_batch(PyObject *self, PyObject *args)
                 Py_DECREF(value);
             }
         }
-        Py_DECREF(pairs);
         Py_DECREF(packed);
         Py_DECREF(leaf_obj);
 
@@ -1691,7 +1653,6 @@ run_batch(PyObject *self, PyObject *args)
     path_fail:
         for (Py_ssize_t i = 0; i < n_read; i++)
             Py_DECREF(abuf[i].block);
-        Py_XDECREF(pairs);
         Py_XDECREF(packed);
         Py_XDECREF(leaf_obj);
         goto fail;
@@ -1715,15 +1676,12 @@ run_batch(PyObject *self, PyObject *args)
             goto fail;
         PyList_SetItem(bus_free_list, i, value);
     }
-    for (long long d = 0; d < levels; d++) {
-        PyObject *value = PyLong_FromLongLong(used_arr[d]);
-        if (value == NULL)
-            goto fail;
-        PyList_SetItem(level_used, d, value);
-    }
+    if (store_counts(level_used, levels, used_arr) < 0)
+        goto fail;
+    PyBuffer_Release(&slots_view);
+    PyBuffer_Release(&table_view);
     PyMem_Free(bank_state);
     PyMem_Free(abuf);
-    Py_DECREF(empty_obj);
     Py_XDECREF(bits_obj);
     {
         PyObject *agg = Py_BuildValue(
@@ -1751,9 +1709,10 @@ run_batch(PyObject *self, PyObject *args)
     }
 
 fail:
+    PyBuffer_Release(&slots_view);
+    PyBuffer_Release(&table_view);
     PyMem_Free(bank_state);
     PyMem_Free(abuf);
-    Py_DECREF(empty_obj);
     Py_XDECREF(bits_obj);
     Py_XDECREF(bounds);
     return NULL;
@@ -1763,140 +1722,160 @@ fail:
 /* Initial ORAM state                                               */
 /* ---------------------------------------------------------------- */
 
-/* Random._randbelow_with_getrandbits over the RNG's bound getrandbits:
- * draw bit_length(n) bits, rejecting draws >= n (n >= 1), so the bit
- * stream and the RNG state afterwards match randrange(n) exactly — the
- * same loop run_batch inlines.  Returns the accepted draw as a new
- * reference (its value also in *value_out unless that is NULL), or
- * NULL with an exception set.
+/* Random._randbelow_with_getrandbits, word-batched.  For k <= 32,
+ * getrandbits(k) is the next 32-bit Mersenne Twister output shifted
+ * right by 32 - k, and getrandbits(32 * m) returns the next m outputs as
+ * one integer, least significant word first.  randbelow(n) draws
+ * k = bit_length(n) bits and rejects draws >= n, so every draw takes at
+ * least one output.  A RandWords reader fetches outputs m at a time, with
+ * m never above the number of draws still to come, so the RNG ends
+ * exactly where randrange/shuffle's one-draw-at-a-time loop leaves it.
  */
-static PyObject *
-randbelow_obj(PyObject *getrandbits, unsigned long long n,
-              unsigned long long *value_out)
+#define RAND_WORDS_CAP (1 << 16)
+
+typedef struct {
+    PyObject *getrandbits;
+    uint32_t *words;
+    Py_ssize_t len, pos;
+} RandWords;
+
+static int
+rand_words_init(RandWords *rw, PyObject *getrandbits)
 {
-    PyObject *bits = PyLong_FromLongLong(bit_length(n));
-    if (bits == NULL)
-        return NULL;
-    for (;;) {
-        PyObject *draw = PyObject_CallOneArg(getrandbits, bits);
-        if (draw == NULL)
-            break;
-        unsigned long long value = PyLong_AsUnsignedLongLong(draw);
-        if (value == (unsigned long long)-1 && PyErr_Occurred()) {
-            Py_DECREF(draw);
-            break;
-        }
-        if (value < n) {
-            Py_DECREF(bits);
-            if (value_out != NULL)
-                *value_out = value;
-            return draw;
-        }
-        Py_DECREF(draw);
+    rw->getrandbits = getrandbits;
+    rw->len = rw->pos = 0;
+    rw->words = PyMem_Malloc(sizeof(uint32_t) * RAND_WORDS_CAP);
+    if (rw->words == NULL) {
+        PyErr_NoMemory();
+        return -1;
     }
-    Py_DECREF(bits);
-    return NULL;
+    return 0;
 }
 
-/* posmap_leaves(getrandbits, leaves, count) -> [leaf, ...]
+/* One randbelow(n), 1 <= n < 2**32, with ``draws_left`` draws (this one
+ * included) still to come.  Returns 0 with the draw in *out, or -1 with
+ * an exception set.
+ */
+static int
+rand_below(RandWords *rw, unsigned long long n, Py_ssize_t draws_left,
+           unsigned long long *out)
+{
+    int shift = 32 - (int)bit_length(n);
+    for (;;) {
+        if (rw->pos == rw->len) {
+            Py_ssize_t m = draws_left < RAND_WORDS_CAP ? draws_left
+                                                       : RAND_WORDS_CAP;
+            PyObject *draw = PyObject_CallFunction(
+                rw->getrandbits, "n", m * 32);
+            if (draw == NULL)
+                return -1;
+            PyObject *bytes = PyObject_CallMethod(
+                draw, "to_bytes", "ns", m * 4, "little");
+            Py_DECREF(draw);
+            if (bytes == NULL)
+                return -1;
+            const unsigned char *b =
+                (const unsigned char *)PyBytes_AS_STRING(bytes);
+            for (Py_ssize_t i = 0; i < m; i++, b += 4)
+                rw->words[i] = (uint32_t)b[0] | (uint32_t)b[1] << 8 |
+                               (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+            Py_DECREF(bytes);
+            rw->len = m;
+            rw->pos = 0;
+        }
+        unsigned long long r = rw->words[rw->pos++] >> shift;
+        if (r < n) {
+            *out = r;
+            return 0;
+        }
+    }
+}
+
+/* posmap_leaves(getrandbits, leaves, table) -> None
  *
- * ``count`` draws of randrange(leaves), in order.  Mirrors the leaf
- * table PositionMap.__init__ builds.
+ * Fill the int32 leaf table with len(table) draws of randrange(leaves),
+ * in order.  Mirrors the leaf table PositionMap.__init__ builds.
  */
 static PyObject *
 posmap_leaves(PyObject *self, PyObject *args)
 {
-    PyObject *getrandbits;
+    PyObject *getrandbits, *table_obj;
     long long leaves;
-    Py_ssize_t count;
-    if (!PyArg_ParseTuple(args, "OLn", &getrandbits, &leaves, &count))
+    if (!PyArg_ParseTuple(args, "OLO", &getrandbits, &leaves, &table_obj))
         return NULL;
-    if (leaves < 1 || count < 0) {
-        PyErr_SetString(PyExc_ValueError, "posmap_leaves needs leaves >= 1");
+    if (leaves < 1 || leaves - 1 > INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError,
+                        "posmap_leaves needs 1 <= leaves <= 2**31");
         return NULL;
     }
-    PyObject *table = PyList_New(count);
-    if (table == NULL)
+    Py_buffer view;
+    RandWords rw;
+    if (int32_buffer(table_obj, &view, 1, "leaf table") < 0)
         return NULL;
-    for (Py_ssize_t i = 0; i < count; i++) {
-        PyObject *leaf = randbelow_obj(
-            getrandbits, (unsigned long long)leaves, NULL);
-        if (leaf == NULL) {
-            Py_DECREF(table);
-            return NULL;
-        }
-        PyList_SET_ITEM(table, i, leaf);
+    if (rand_words_init(&rw, getrandbits) < 0) {
+        PyBuffer_Release(&view);
+        return NULL;
     }
-    return table;
+    int32_t *table = view.buf;
+    Py_ssize_t count = view.len / (Py_ssize_t)sizeof(int32_t);
+    int rc = 0;
+    for (Py_ssize_t i = 0; i < count && rc == 0; i++) {
+        unsigned long long leaf;
+        rc = rand_below(&rw, (unsigned long long)leaves, count - i, &leaf);
+        table[i] = (int32_t)leaf;
+    }
+    PyMem_Free(rw.words);
+    PyBuffer_Release(&view);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
 
-/* tree_init(getrandbits, leaf_table, buckets, z_per_level, level_used,
- *           empty) -> [overflow block, ...]
+/* tree_init(getrandbits, leaf_table, slots, z_per_level, level_used)
+ *   -> [overflow block, ...]
  *
  * Fresh-tree initial placement of blocks 0..len(leaf_table)-1: shuffle
  * them exactly as Random.shuffle does, then place each, in that order,
- * into the first free slot of the deepest bucket on its path with room.
- * ``buckets`` is the dense heap-ordered bucket list (None = untouched);
- * only buckets that receive a block are written, either into the
- * existing slot list or as a new list padded with ``empty``.
- * ``level_used`` is incremented in place.  Blocks whose whole path is
- * full come back in placement order.  Mirrors the pure-Python loop in
- * ORAMTree.initialize.  Scratch is one int32 per real slot
- * (sum of Z * buckets per level) plus one per block.
+ * into the first free slot of the deepest bucket on its path with room,
+ * writing the tree's int32 slot array in place.  ``level_used`` is
+ * incremented in place.  Blocks whose whole path is full come back in
+ * placement order.  Mirrors the pure-Python loop in ORAMTree.initialize.
+ * Scratch is one int32 per block.
  */
 static PyObject *
 tree_init(PyObject *self, PyObject *args)
 {
-    PyObject *getrandbits, *leaf_table, *buckets, *z_seq, *level_used;
-    long long empty;
-    if (!PyArg_ParseTuple(args, "OO!O!OO!L", &getrandbits,
-                          &PyList_Type, &leaf_table, &PyList_Type, &buckets,
-                          &z_seq, &PyList_Type, &level_used, &empty))
+    PyObject *getrandbits, *table_obj, *slots_obj, *z_seq, *level_used;
+    if (!PyArg_ParseTuple(args, "OOOOO!", &getrandbits, &table_obj,
+                          &slots_obj, &z_seq, &PyList_Type, &level_used))
         return NULL;
-    PyObject *z_fast = PySequence_Fast(z_seq, "z_per_level must be a sequence");
-    if (z_fast == NULL)
+    TreeGeom g;
+    long long used[FASTPATH_MAX_LEVELS];
+    Py_buffer table_view, slots_view;
+    if (tree_geom(z_seq, &g) < 0 ||
+        load_counts(level_used, g.levels, used) < 0 ||
+        int32_buffer(table_obj, &table_view, 0, "leaf table") < 0)
         return NULL;
-    Py_ssize_t levels = PySequence_Fast_GET_SIZE(z_fast);
-    Py_ssize_t n = PyList_GET_SIZE(leaf_table);
-    if (levels < 1 || levels >= FASTPATH_MAX_LEVELS ||
-        PyList_GET_SIZE(buckets) != ((Py_ssize_t)1 << levels) - 1 ||
-        PyList_GET_SIZE(level_used) < levels || n > INT32_MAX) {
-        Py_DECREF(z_fast);
-        PyErr_SetString(PyExc_ValueError, "unsupported tree_init geometry");
+    if (tree_slots(slots_obj, &g, &slots_view) < 0) {
+        PyBuffer_Release(&table_view);
         return NULL;
     }
-    long long z_arr[FASTPATH_MAX_LEVELS];
-    long long placed[FASTPATH_MAX_LEVELS];
-    Py_ssize_t level_base[FASTPATH_MAX_LEVELS];
-    Py_ssize_t total_slots = 0;
-    for (Py_ssize_t d = 0; d < levels; d++) {
-        z_arr[d] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(z_fast, d));
-        if (z_arr[d] == -1 && PyErr_Occurred()) {
-            Py_DECREF(z_fast);
-            return NULL;
-        }
-        if (z_arr[d] < 0 || z_arr[d] > INT32_MAX ||
-            z_arr[d] > (PY_SSIZE_T_MAX - total_slots) >> d) {
-            Py_DECREF(z_fast);
-            PyErr_SetString(PyExc_ValueError, "unsupported bucket size");
-            return NULL;
-        }
-        placed[d] = 0;
-        level_base[d] = total_slots;
-        total_slots += (Py_ssize_t)z_arr[d] << d;
-    }
-    Py_DECREF(z_fast);
-
+    const int32_t *table = table_view.buf;
+    int32_t *slots = slots_view.buf;
+    Py_ssize_t n = table_view.len / (Py_ssize_t)sizeof(int32_t);
     int32_t *order = PyMem_Malloc(sizeof(int32_t) * (size_t)(n ? n : 1));
-    int32_t *slots = PyMem_Malloc(
-        sizeof(int32_t) * (size_t)(total_slots ? total_slots : 1));
     PyObject *overflow = PyList_New(0);
-    PyObject *empty_obj = PyLong_FromLongLong(empty);
-    if (order == NULL || slots == NULL) {
+    RandWords rw;
+    rw.words = NULL;
+    if (n > INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "too many blocks for tree_init");
+        goto fail;
+    }
+    if (order == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    if (overflow == NULL || empty_obj == NULL)
+    if (overflow == NULL || rand_words_init(&rw, getrandbits) < 0)
         goto fail;
 
     /* Random.shuffle over range(n): for i = n-1 .. 1, swap i with
@@ -1906,33 +1885,26 @@ tree_init(PyObject *self, PyObject *args)
         order[i] = (int32_t)i;
     for (Py_ssize_t i = n - 1; i > 0; i--) {
         unsigned long long j;
-        PyObject *draw = randbelow_obj(
-            getrandbits, (unsigned long long)i + 1, &j);
-        if (draw == NULL)
+        if (rand_below(&rw, (unsigned long long)i + 1, i, &j) < 0)
             goto fail;
-        Py_DECREF(draw);
         int32_t tmp = order[i];
         order[i] = order[j];
         order[j] = tmp;
     }
-    /* getrandbits may be any callable: make sure the lists it could
-     * reach still have the sizes checked above.
+    /* getrandbits may be any callable: make sure level_used still has
+     * the size checked above (the arrays cannot be resized while their
+     * buffers are exported).
      */
-    if (PyList_GET_SIZE(leaf_table) != n ||
-        PyList_GET_SIZE(buckets) != ((Py_ssize_t)1 << levels) - 1 ||
-        PyList_GET_SIZE(level_used) < levels) {
+    if (PyList_GET_SIZE(level_used) < g.levels) {
         PyErr_SetString(PyExc_RuntimeError, "tree_init inputs resized");
         goto fail;
     }
 
-    /* Bottom-up first-free placement; -1 marks a free scratch slot. */
-    memset(slots, 0xff, sizeof(int32_t) * (size_t)total_slots);
-    long long shift = levels - 1;
+    /* Bottom-up first-free placement. */
+    long long shift = g.levels - 1;
     for (Py_ssize_t i = 0; i < n; i++) {
         int32_t block = order[i];
-        long long leaf = PyLong_AsLongLong(PyList_GET_ITEM(leaf_table, block));
-        if (leaf == -1 && PyErr_Occurred())
-            goto fail;
+        long long leaf = table[block];
         if (leaf < 0 || (leaf >> shift) != 0) {
             PyErr_Format(PyExc_ValueError,
                          "block %d maps to leaf %lld outside the tree",
@@ -1941,12 +1913,12 @@ tree_init(PyObject *self, PyObject *args)
         }
         int done = 0;
         for (long long d = shift; d >= 0 && !done; d--) {
-            long long z = z_arr[d];
-            int32_t *bucket = slots + level_base[d] + (leaf >> (shift - d)) * z;
+            long long z = g.z[d];
+            int32_t *bucket = path_bucket(slots, &g, leaf, d);
             for (long long k = 0; k < z; k++) {
-                if (bucket[k] < 0) {
+                if (bucket[k] == EMPTY_SLOT) {
                     bucket[k] = block;
-                    placed[d]++;
+                    used[d]++;
                     done = 1;
                     break;
                 }
@@ -1962,54 +1934,19 @@ tree_init(PyObject *self, PyObject *args)
                 goto fail;
         }
     }
-
-    /* Materialize every bucket that received a block. */
-    for (Py_ssize_t d = 0; d < levels; d++) {
-        Py_ssize_t z = (Py_ssize_t)z_arr[d];
-        if (z == 0 || placed[d] == 0)
-            continue;
-        Py_ssize_t first = ((Py_ssize_t)1 << d) - 1;
-        for (Py_ssize_t pos = 0; pos < ((Py_ssize_t)1 << d); pos++) {
-            int32_t *bucket = slots + level_base[d] + pos * z;
-            if (bucket[0] < 0)
-                continue;
-            PyObject *list = PyList_GET_ITEM(buckets, first + pos);
-            if (list == Py_None) {
-                list = PyList_New(z);
-                if (list == NULL)
-                    goto fail;
-                for (Py_ssize_t k = 0; k < z; k++)
-                    PyList_SET_ITEM(list, k, Py_NewRef(empty_obj));
-                PyList_SetItem(buckets, first + pos, list);
-            } else if (!PyList_Check(list) || PyList_GET_SIZE(list) != z) {
-                PyErr_SetString(PyExc_TypeError,
-                                "bucket must be None or a Z-slot list");
-                goto fail;
-            }
-            for (Py_ssize_t k = 0; k < z && bucket[k] >= 0; k++) {
-                PyObject *block_obj = PyLong_FromLong(bucket[k]);
-                if (block_obj == NULL)
-                    goto fail;
-                PyList_SetItem(list, k, block_obj);
-            }
-        }
-        long long used = PyLong_AsLongLong(PyList_GET_ITEM(level_used, d));
-        if (used == -1 && PyErr_Occurred())
-            goto fail;
-        PyObject *used_obj = PyLong_FromLongLong(used + placed[d]);
-        if (used_obj == NULL)
-            goto fail;
-        PyList_SetItem(level_used, d, used_obj);
-    }
+    if (store_counts(level_used, g.levels, used) < 0)
+        goto fail;
     PyMem_Free(order);
-    PyMem_Free(slots);
-    Py_DECREF(empty_obj);
+    PyMem_Free(rw.words);
+    PyBuffer_Release(&table_view);
+    PyBuffer_Release(&slots_view);
     return overflow;
 
 fail:
     PyMem_Free(order);
-    PyMem_Free(slots);
-    Py_XDECREF(empty_obj);
+    PyMem_Free(rw.words);
+    PyBuffer_Release(&table_view);
+    PyBuffer_Release(&slots_view);
     Py_XDECREF(overflow);
     return NULL;
 }

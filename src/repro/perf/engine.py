@@ -47,6 +47,7 @@ import json
 import os
 import pickle
 import time
+from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -76,6 +77,10 @@ PRIOR_ALPHA = 0.5
 #: ``max(TASK_TIMEOUT_FLOOR_S, TASK_TIMEOUT_FACTOR × its EWMA prior)``
 TASK_TIMEOUT_FLOOR_S = 30.0
 TASK_TIMEOUT_FACTOR = 20.0
+
+#: tree geometries whose layouts (and per-leaf memos) an ArtifactCache
+#: keeps; the whole 16-scheme zoo at one size uses 7
+LAYOUT_CACHE_LIMIT = 16
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +167,8 @@ class ArtifactCache:
     def __init__(self, disk_dir: Optional[str] = None) -> None:
         self.disk_dir = disk_dir if disk_dir is not None else cache_root()
         self.counters: Dict[str, int] = {}
-        self._layouts: Dict[Tuple, Any] = {}
+        #: least recently used first; at most LAYOUT_CACHE_LIMIT entries
+        self._layouts: "OrderedDict[Tuple, Any]" = OrderedDict()
         self._traces: Dict[Tuple, Any] = {}
         #: trace entries generated (not disk-loaded) since the last flush
         self._dirty_traces: set = set()
@@ -218,7 +224,9 @@ class ArtifactCache:
         Keyed by exactly what a layout reads — the tree's levels, Z
         vector and cached top, the DRAM config, and the base row — so
         every tree with that geometry gets the same object, and with it
-        the same per-leaf address and DRAM-triple memos.
+        the same per-leaf address and DRAM-triple memos.  Beyond
+        :data:`LAYOUT_CACHE_LIMIT` geometries the least recently used
+        layout is dropped.
         """
         from ..mem.layout import TreeLayout
 
@@ -229,13 +237,17 @@ class ArtifactCache:
             dram,
             base_row,
         )
-        layout = self._layouts.get(key)
+        layouts = self._layouts
+        layout = layouts.get(key)
         if layout is None:
             self._bump(sk.ENGINE_LAYOUT_MISSES)
             layout = TreeLayout(oram, dram, base_row)
-            self._layouts[key] = layout
+            layouts[key] = layout
+            if len(layouts) > LAYOUT_CACHE_LIMIT:
+                layouts.popitem(last=False)
         else:
             self._bump(sk.ENGINE_LAYOUT_HITS)
+            layouts.move_to_end(key)
         return layout
 
     # -- workload traces ---------------------------------------------------

@@ -26,6 +26,7 @@ import struct
 import subprocess
 import sys
 import sysconfig
+from array import array
 from typing import Optional, Tuple
 
 from .. import options
@@ -60,13 +61,15 @@ def _self_test(module) -> bool:
     if ready != [7] or open_row != [7] or bus_free != [7]:
         return False
 
-    slots = [3, -1, 9]
-    level_used = [0, 2]
-    removed = module.read_and_clear([(1, slots)], level_used, -1)
+    # Two levels, Z = (1, 3): the path to leaf 1 is slot 0 and slots
+    # 4..6; the bucket of leaf 0 (slots 1..3) is off the path.
+    slots = array("i", [-1, 8, -1, -1, 3, -1, 9])
+    level_used = [0, 3]
+    removed = module.read_and_clear(slots, (1, 3), level_used, 1)
     if not (
         removed == [(3, 1), (9, 1)]
-        and slots == [-1, -1, -1]
-        and level_used == [0, 0]
+        and slots.tolist() == [-1, 8, -1, -1, -1, -1, -1]
+        and level_used == [0, 1]
     ):
         return False
 
@@ -75,7 +78,7 @@ def _self_test(module) -> bool:
     entries: dict = {}
     seq: dict = {}
     by_prefix: dict = {}
-    leaf_table = [0] * 10
+    leaf_table = array("i", [0] * 10)
     leaf_table[5] = 6
     leaf_table[9] = 3
     next_seq, top_blocks = module.stash_bulk_add(
@@ -103,18 +106,17 @@ def _self_test(module) -> bool:
     entries = {5: 1, 9: 3}
     seq = {5: 0, 9: 1}
     by_prefix = {1: {0: 5}, 3: {1: 9}}
-    path_slots = [(0, [-1]), (1, [-1]), (2, [-1])]
+    slots = array("i", [-1] * 7)
     level_used = [0, 0, 0]
     placed_top = module.write_path_place(
-        1, entries, seq, by_prefix, 0, 2, path_slots, [1, 1, 1],
-        level_used, 3, 0, -1
+        1, entries, seq, by_prefix, 0, 2, slots, [1, 1, 1], level_used, 0
     )
     if not (
         placed_top == 0
         and entries == {}
         and seq == {}
         and by_prefix == {}
-        and path_slots == [(0, [9]), (1, [-1]), (2, [5])]
+        and slots.tolist() == [9, -1, -1, -1, 5, -1, -1]
         and level_used == [1, 0, 1]
     ):
         return False
@@ -128,24 +130,25 @@ def _self_test(module) -> bool:
 
     # Initial state: 7 blocks, 3 levels with Z = (1, 0, 2), seed 24.  The
     # leaf draws and the shuffle must leave the RNG exactly where
-    # randrange and shuffle would; one bucket stays untouched, two are
-    # half full, and blocks 1 and 5 overflow, in that order.
+    # randrange and shuffle would; one bucket stays empty, two are half
+    # full, and blocks 1 and 5 overflow, in that order.
     rng = random.Random(24)
     ref = random.Random(24)
-    leaves = module.posmap_leaves(rng.getrandbits, 4, 7)
-    if leaves != [3, 1, 1, 1, 1, 1, 0]:
+    leaves = array("i", [-1] * 7)
+    module.posmap_leaves(rng.getrandbits, 4, leaves)
+    if leaves.tolist() != [3, 1, 1, 1, 1, 1, 0]:
         return False
-    buckets = [None] * 7
+    slots = array("i", [-1] * 9)
     level_used = [0, 0, 0]
     overflow = module.tree_init(
-        rng.getrandbits, leaves, buckets, (1, 0, 2), level_used, -1
+        rng.getrandbits, leaves, slots, (1, 0, 2), level_used
     )
     for _ in range(7):
         ref.randrange(4)
     ref.shuffle(list(range(7)))
     if not (
         overflow == [1, 5]
-        and buckets == [[2], None, None, [6, -1], [3, 4], None, [0, -1]]
+        and slots.tolist() == [2, 6, -1, 3, 4, -1, -1, 0, -1]
         and level_used == [1, 0, 4]
         and rng.getstate() == ref.getstate()
     ):
@@ -159,28 +162,25 @@ def _self_test(module) -> bool:
     entries = {}
     seq = {}
     by_prefix = {}
-    leaf_table = [-1, -1, -1, 0]
+    leaf_table = array("i", [-1, -1, -1, 0])
     level_used = [1, 0]
     ready = [0]
     open_row = [-1]
     bus_free = [0]
-    slots0 = [3]
+    slots = array("i", [3, -1, -1])
     batch_ctx = (
         (lambda n: 1),                     # randrange
         2,                                 # leaves
         {1: ([0, 0, 7, 0, 0, 7], 2)},      # triples cache
         (lambda leaf: None),               # triples fallback (unused)
-        {1: [(0, slots0), (1, [-1])]},     # path-slots cache
-        (lambda leaf: None),               # slots fallback (unused)
+        slots,                             # tree slots, Z = (1, 1)
         entries, seq, by_prefix,
         0,                                 # prefix shift
         1,                                 # prefix levels
         leaf_table,
         [1, 1],                            # z per level
         level_used,
-        2,                                 # levels
         0,                                 # top (no tree-top cache)
-        -1,                                # empty marker
         ready, open_row, bus_free,
         (1, 4, 3, 2, 5),                   # ratio, t_rp, t_rcd, t_burst, cas+burst
         0,                                 # treetop mode: counter cache
@@ -192,7 +192,7 @@ def _self_test(module) -> bool:
     if result != (1, 17, 1, 1, [0, 10, 17],
                   (2, 3, 0, 0, 0, 0, 0, 0, 0), None):
         return False
-    packed = batch_ctx[26].get(1)
+    packed = batch_ctx[23].get(1)
     if packed != struct.pack("=7q", 2, 0, 0, 7, 0, 0, 7):
         return False
     if module.pack_triples(([0, 0, 7, 0, 0, 7], 2), 1, 1) != packed:
@@ -201,7 +201,7 @@ def _self_test(module) -> bool:
         entries == {}
         and seq == {}
         and by_prefix == {}
-        and slots0 == [3]
+        and slots.tolist() == [3, -1, -1]
         and level_used == [1, 0]
         and ready == [14]
         and open_row == [7]

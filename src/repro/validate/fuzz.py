@@ -52,11 +52,10 @@ def _fault_drop_block(controller) -> None:
     for block, _ in controller.stash.items():
         controller.stash.remove(block)
         return
-    for level, _, slots in controller.tree.iter_buckets():
-        for i, block in enumerate(slots):
+    for level, position, slots in controller.tree.iter_buckets():
+        for block in slots:
             if block != EMPTY:
-                slots[i] = EMPTY
-                controller.tree.level_used[level] -= 1
+                controller.tree.remove(level, position, block)
                 return
 
 

@@ -68,6 +68,19 @@ class TestORAMConfig:
         with pytest.raises(ConfigError):
             ORAMConfig.uniform(levels=5, user_blocks=slots + 1)
 
+    def test_int32_geometry_limit(self):
+        # Slots and leaf IDs are int32: Z=1 over 31 levels is exactly
+        # 2**31 - 1 slots; one more level, or a leaf count past int32
+        # with Z=0 below the root, is rejected.
+        largest = ORAMConfig.uniform(levels=31, user_blocks=1 << 20, z=1)
+        assert largest.tree_slots() == 2**31 - 1
+        with pytest.raises(ConfigError, match="stores at most"):
+            ORAMConfig.uniform(levels=32, user_blocks=1 << 20, z=1)
+        with pytest.raises(ConfigError, match="stores at most"):
+            ORAMConfig(
+                levels=33, user_blocks=1, z_per_level=(8,) + (0,) * 32
+            )
+
     def test_tree_slots_uniform(self):
         config = ORAMConfig.uniform(levels=5, user_blocks=16)
         assert config.tree_slots() == 4 * 31

@@ -138,10 +138,9 @@ class TestInstantServicing:
             controller.stash.add(0, controller.posmap.leaf_of(0))
             # remove the tree copy to keep conservation
             leaf = controller.posmap.leaf_of(0)
-            for level, _, slots in controller.tree.path_buckets(leaf):
+            for level, position, slots in controller.tree.path_buckets(leaf):
                 if 0 in slots:
-                    slots[slots.index(0)] = EMPTY
-                    controller.tree.level_used[level] -= 1
+                    controller.tree.remove(level, position, 0)
             block = 0
         request = read_request(block, arrival=5)
         controller.enqueue(request)
@@ -186,16 +185,15 @@ class TestBackgroundEviction:
         tree = controller.tree
         for level in range(tree.levels - 1, -1, -1):
             for position in range(1 << level):
-                for slot, block in enumerate(tree.bucket(level, position)):
+                for block in tree.bucket(level, position):
                     if block != EMPTY:
-                        donor.append((block, level, position, slot))
+                        donor.append((block, level, position))
                 if len(donor) > controller.oram.eviction_threshold:
                     break
             if len(donor) > controller.oram.eviction_threshold:
                 break
-        for block, level, position, slot in donor:
-            tree.bucket(level, position)[slot] = EMPTY
-            tree.level_used[level] -= 1
+        for block, level, position in donor:
+            tree.remove(level, position, block)
             controller.stash.add(block, controller.posmap.leaf_of(block))
         result = controller.step(0, allow_dummy=False)
         assert result is not None

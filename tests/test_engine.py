@@ -8,6 +8,7 @@ from concurrent.futures import BrokenExecutor, Future
 import pytest
 
 from repro import api
+from repro import stats_keys as sk
 from repro.config import SystemConfig
 from repro.core.schemes import SCHEMES, build_scheme
 from repro.mem.layout import TreeLayout
@@ -209,6 +210,27 @@ class TestArtifactCache:
             assert controller.side_layout is cache.layout_for(
                 side, config.dram, warmed.end_row()
             )
+
+
+    def test_layout_cache_is_bounded_lru(self):
+        cache = engine.ArtifactCache()
+        config = SystemConfig.tiny()
+        limit = engine.LAYOUT_CACHE_LIMIT
+        first = cache.layout_for(config.oram, config.dram)
+        for base_row in range(1, limit + 5):
+            # the first geometry stays warm: it is used every iteration
+            assert cache.layout_for(config.oram, config.dram) is first
+            latest = cache.layout_for(config.oram, config.dram, base_row)
+            assert len(cache._layouts) <= limit
+            assert cache.layout_for(
+                config.oram, config.dram, base_row
+            ) is latest
+        assert len(cache._layouts) == limit
+        assert cache.layout_for(config.oram, config.dram) is first
+        misses = cache.counters[sk.ENGINE_LAYOUT_MISSES]
+        assert misses == limit + 5
+        cache.layout_for(config.oram, config.dram, 1)  # evicted long ago
+        assert cache.counters[sk.ENGINE_LAYOUT_MISSES] == misses + 1
 
 
 class TestPathDramFifo:

@@ -1,5 +1,7 @@
 """Tests for the Merkle and Ring per-bucket integrity layers."""
 
+from array import array
+
 import pytest
 
 from repro.config import SystemConfig
@@ -31,6 +33,19 @@ def merkle(tree):
     return MerkleIntegrity(tree)
 
 
+def _write_bucket(tree, level, position, slots):
+    """Overwrite a bucket in memory, bypassing the tree, as an attacker
+    with access to the DRAM would."""
+    start = tree.bucket_offset(level, position)
+    tree.slots[start:start + len(slots)] = array("i", slots)
+
+
+def _overwrite(tree, level, position, old, new):
+    slots = tree.bucket(level, position)
+    slots[slots.index(old)] = new
+    _write_bucket(tree, level, position, slots)
+
+
 class TestVerification:
     def test_fresh_tree_verifies_every_path(self, merkle, tree):
         for leaf in range(1 << 5):
@@ -48,14 +63,12 @@ class TestVerification:
             merkle.verify_path(0)
 
     def test_tampered_block_detected(self, merkle, tree):
-        slots = tree.bucket(3, 5)
-        slots[slots.index(22)] = 23  # attacker flips a block ID
+        _overwrite(tree, 3, 5, 22, 23)  # attacker flips a block ID
         with pytest.raises(IntegrityError):
             merkle.verify_path(5 << 2)
 
     def test_tampering_off_path_not_flagged(self, merkle, tree):
-        slots = tree.bucket(5, 17)
-        slots[slots.index(33)] = 34
+        _overwrite(tree, 5, 17, 33, 34)
         # a path not crossing (5,17) and not adjacent to it still verifies
         merkle.verify_path(0)
 
@@ -86,8 +99,7 @@ class TestTamperingMatrix:
     (previously valid) path snapshot against the fresh on-chip root."""
 
     def test_flipped_block_id_detected(self, merkle, tree):
-        slots = tree.bucket(3, 5)
-        slots[slots.index(22)] = 22 ^ 1
+        _overwrite(tree, 3, 5, 22, 22 ^ 1)
         with pytest.raises(IntegrityError):
             merkle.verify_path(5 << 2)
 
@@ -101,7 +113,8 @@ class TestTamperingMatrix:
         # relocate bucket contents wholesale: (3,5) <-> (2,2), both on the
         # path to leaf 5<<2, without touching the stored hashes
         a, b = tree.bucket(3, 5), tree.bucket(2, 2)
-        a[:], b[:] = list(b), list(a)
+        _write_bucket(tree, 3, 5, b)
+        _write_bucket(tree, 2, 2, a)
         with pytest.raises(IntegrityError):
             merkle.verify_path(5 << 2)
 
@@ -126,7 +139,7 @@ class TestTamperingMatrix:
         # ...and replaying the stale-but-internally-consistent snapshot
         # fails against the *new* trusted root
         for level, position, slots, digest in snapshot:
-            tree.bucket(level, position)[:] = slots
+            _write_bucket(tree, level, position, slots)
             merkle._hashes[ORAMTree.bucket_index(level, position)] = digest
         with pytest.raises(IntegrityError):
             merkle.verify_path(leaf)
@@ -165,6 +178,7 @@ class TestControllerIntegration:
                         for i, block in enumerate(slots):
                             if block != EMPTY:
                                 slots[i] = block + 1
+                                _write_bucket(tree, level, position, slots)
                                 state["tampered"] = True
                                 break
                         if state["tampered"]:
@@ -174,6 +188,7 @@ class TestControllerIntegration:
                 if not state["tampered"]:
                     slots = tree.bucket(0, 0)
                     slots[0] = 12345 if slots[0] == EMPTY else slots[0] + 1
+                    _write_bucket(tree, 0, 0, slots)
                     state["tampered"] = True
             return original_step(now, allow_dummy)
 

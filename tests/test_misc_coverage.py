@@ -119,11 +119,9 @@ class TestEvictionStormYield:
         moved = 0
         for level in range(tree.levels - 1, -1, -1):
             for position in range(1 << level):
-                slots = tree.bucket(level, position)
-                for i, block in enumerate(slots):
+                for block in tree.bucket(level, position):
                     if block != EMPTY:
-                        slots[i] = EMPTY
-                        tree.level_used[level] -= 1
+                        tree.remove(level, position, block)
                         controller.stash.add(
                             block, controller.posmap.leaf_of(block)
                         )

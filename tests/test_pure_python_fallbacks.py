@@ -14,6 +14,7 @@ import pytest
 
 from repro import api
 from repro.config import DRAMConfig, ORAMConfig, SystemConfig
+from repro.core.ir_alloc import PAPER_ALLOC_CONFIGS, apply_alloc_plan
 from repro.errors import ConfigError
 from repro.mem.dram import DRAMModel
 from repro.oram import posmap as posmap_mod
@@ -185,7 +186,7 @@ class TestInitialStateKernels:
             oram, slow_rng, monkeypatch
         )
         assert fast_map._leaf_of == slow_map._leaf_of
-        assert fast_tree._buckets == slow_tree._buckets
+        assert fast_tree.slots == slow_tree.slots
         assert fast_tree.level_used == slow_tree.level_used
         assert fast_overflow == slow_overflow
         assert fast_rng.getstate() == slow_rng.getstate()
@@ -207,28 +208,37 @@ class TestInitialStateKernels:
         posmap, tree, overflow = _initial_state(oram, Subclassed(3))
         assert spy.calls == []
         assert posmap._leaf_of == expected[0]._leaf_of
-        assert tree._buckets == expected[1]._buckets
+        assert tree.slots == expected[1].slots
         assert tree.level_used == expected[1].level_used
         assert overflow == expected[2]
 
-    def test_sparse_tree_takes_python_path(self, monkeypatch):
-        oram = _init_oram(8, "thin")
-        fast_rng = random.Random(11)
-        expected = _initial_state(oram, fast_rng)
+    @pytest.mark.parametrize("z_vector", ["uniform", "ir-alloc"])
+    def test_scaled_tree_takes_native_path(self, z_vector, monkeypatch):
+        # The scaled geometry, uniform and with an IR-Alloc vector whose
+        # cached top levels hold no slots (Z=0): the kernels write the
+        # same slot buffer and leaf table as the Python spec, leaving the
+        # RNG in the same state.
+        oram = SystemConfig.scaled().oram
+        if z_vector == "ir-alloc":
+            top = oram.top_cached_levels
+            z = apply_alloc_plan(oram, PAPER_ALLOC_CONFIGS["IR-Alloc3"])
+            oram = oram.with_z_vector(
+                (0,) * top + z.z_per_level[top:]
+            )
+            assert 1 in oram.z_per_level
         spy = _KernelSpy(native.fastpath)
         monkeypatch.setattr(tree_mod, "_native", spy)
-        monkeypatch.setattr(ORAMTree, "DENSE_LEVEL_LIMIT", 4)
+        monkeypatch.setattr(posmap_mod, "_native", spy)
+        fast_rng = random.Random(11)
+        posmap, tree, overflow = _initial_state(oram, fast_rng)
+        assert spy.calls == ["posmap_leaves", "tree_init"]
         slow_rng = random.Random(11)
-        posmap, tree, overflow = _initial_state(oram, slow_rng)
-        assert not tree._dense
-        assert "tree_init" not in spy.calls
+        expected = self._python_state(oram, slow_rng, monkeypatch)
         assert posmap._leaf_of == expected[0]._leaf_of
-        sparse = {(l, p): s for l, p, s in tree.iter_buckets()}
-        dense = {(l, p): s for l, p, s in expected[1].iter_buckets()}
-        assert sparse == dense
+        assert tree.slots == expected[1].slots
         assert tree.level_used == expected[1].level_used
         assert overflow == expected[2]
-        assert slow_rng.getstate() == fast_rng.getstate()
+        assert fast_rng.getstate() == slow_rng.getstate()
 
 
 class TestNativeStatus:

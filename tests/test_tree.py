@@ -1,11 +1,15 @@
 """Unit tests for the ORAM tree."""
 
+import pickle
 import random
+from array import array
 
 import pytest
 
 from repro.errors import ProtocolError
+from repro.oram.posmap import PositionMap
 from repro.oram.tree import EMPTY, ORAMTree
+from repro.oram.types import Namespace
 
 from tests.conftest import make_oram
 
@@ -45,12 +49,59 @@ class TestGeometry:
         assert tree.deepest_common_level(0, 31) == 0
         assert tree.deepest_common_level(0b10000, 0b10001) == 4
 
-    def test_sparse_representation_above_limit(self):
+    def test_tree_above_21_levels_is_addressable(self):
         oram = make_oram(levels=22, top=8, user_blocks=1 << 18)
         tree = ORAMTree(oram)
-        assert not tree._dense
-        bucket = tree.bucket(21, 12345)
-        assert bucket == [EMPTY] * 4
+        assert len(tree.slots) == oram.tree_slots()
+        assert tree.bucket(21, 12345) == [EMPTY] * 4
+        assert tree.place(21, 12345, 7)
+        assert tree.place(3, 12345 >> 18, 8)
+        assert tree.slots[tree.bucket_offset(21, 12345)] == 7
+        assert sorted(tree.read_and_clear(12345)) == [(7, 21), (8, 3)]
+        assert tree.total_used() == 0
+        assert tree.slots.count(EMPTY) == len(tree.slots)
+
+
+class TestFlatStorage:
+    def test_bucket_offsets_follow_level_bases(self):
+        oram = make_oram(levels=6, top=2).with_z_vector((2, 0, 3, 4, 4, 1))
+        tree = ORAMTree(oram)
+        assert tree.level_base == [0, 2, 2, 14, 46, 110]
+        assert len(tree.slots) == oram.tree_slots() == 142
+        assert tree.bucket_offset(3, 5) == 14 + 5 * 4
+        assert tree.bucket_offset(5, 31) == 141
+        assert tree.bucket(1, 1) == []
+
+    def test_remove_takes_block_out_of_its_bucket(self, tree):
+        tree.place(4, 3, 11)
+        tree.place(4, 3, 12)
+        tree.remove(4, 3, 11)
+        assert tree.bucket(4, 3) == [EMPTY, 12, EMPTY, EMPTY]
+        assert tree.level_used[4] == 1
+        with pytest.raises(ProtocolError):
+            tree.remove(4, 3, 11)
+
+    def test_find_searches_only_above_the_limit(self, tree):
+        tree.place(1, 0, 5)
+        tree.place(4, 1, 6)
+        assert tree.find(5, 3, 2) == 1
+        assert tree.find(6, 3, 2) is None
+        assert tree.find(6, 3, 6) == 4
+        assert tree.find(5, 31, 6) is None
+
+    def test_pickle_round_trip(self):
+        oram = make_oram(levels=8, top=2)
+        rng = random.Random(4)
+        posmap = PositionMap(Namespace(oram), oram.leaves, rng)
+        tree = ORAMTree(oram)
+        tree.initialize(posmap._leaf_of, rng)
+        tree_copy, posmap_copy = pickle.loads(pickle.dumps((tree, posmap)))
+        assert tree_copy.slots == tree.slots
+        assert tree_copy.level_used == tree.level_used
+        assert posmap_copy._leaf_of == posmap._leaf_of
+        assert list(tree_copy.iter_buckets()) == list(tree.iter_buckets())
+        leaf = posmap.leaf_of(0)
+        assert tree_copy.read_and_clear(leaf) == tree.read_and_clear(leaf)
 
 
 class TestPlacement:
@@ -97,7 +148,9 @@ class TestInitialize:
         oram = make_oram(levels=8, top=2)
         tree = ORAMTree(oram)
         rng = random.Random(7)
-        leaves = [rng.randrange(oram.leaves) for _ in range(oram.user_blocks)]
+        leaves = array(
+            "i", [rng.randrange(oram.leaves) for _ in range(oram.user_blocks)]
+        )
         overflow = tree.initialize(leaves, rng)
         assert tree.total_used() + len(overflow) == oram.user_blocks
         # at ~50% provisioning, overflow should be rare
@@ -107,7 +160,7 @@ class TestInitialize:
         oram = make_oram(levels=7, top=2)
         tree = ORAMTree(oram)
         rng = random.Random(3)
-        leaves = [rng.randrange(oram.leaves) for _ in range(200)]
+        leaves = array("i", [rng.randrange(oram.leaves) for _ in range(200)])
         tree.initialize(leaves, rng)
         for level in range(7):
             for position in range(1 << level):
@@ -120,7 +173,9 @@ class TestInitialize:
         oram = make_oram(levels=8, top=2)
         tree = ORAMTree(oram)
         rng = random.Random(5)
-        leaves = [rng.randrange(oram.leaves) for _ in range(oram.user_blocks)]
+        leaves = array(
+            "i", [rng.randrange(oram.leaves) for _ in range(oram.user_blocks)]
+        )
         tree.initialize(leaves, rng)
         util = tree.level_utilization()
         assert util[7] > util[3]
@@ -128,4 +183,4 @@ class TestInitialize:
     def test_rejects_occupied_tree(self, tree):
         tree.place(5, 0, 1)
         with pytest.raises(ProtocolError):
-            tree.initialize([0, 1, 2], random.Random(1))
+            tree.initialize(array("i", [0, 1, 2]), random.Random(1))
